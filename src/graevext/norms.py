@@ -1,13 +1,59 @@
 """Group norms and distances induced by a bounded quasi-pseudometric.
 
-Free group: the norm of a reduced word g is the exact minimum, over all
-almost irreducible candidate words of even length at most twice the
-reduced length (letters drawn from the signed letters of g, their
-inverses, and the neutral letter) that reduce to g, and over all
-non-crossing pairings of the candidate's positions, of the pairing cost.
-The search runs as a depth-first walk over joint (letter, open-or-close)
-decisions with dominance pruning that provably preserves the minimum; a
-plain enumeration over the same candidate family is kept in the test
+Free group.  Let g = g_1 ... g_n be reduced, rho the extension of d to
+the signed alphabet (``signed_extension``; a quasi-pseudometric when d is
+valid and bounded by 1), and let an arc between letters u and v cost
+
+    delta(u, v) = (rho(u^-1, v) + rho(v^-1, u)) / 2,
+
+so delta is symmetric, delta(u, u^-1) = 0 and delta(u, e) = 1 for every
+non-neutral u.  The norm of g is the least cost of a non-crossing partial
+matching of the positions 1..n, where a matched pair (i, k) pays
+delta(g_i, g_k) and an unmatched position pays delta(g_i, e).  An
+interval DP over the segments of g finds it in O(n^3) time and O(n^2)
+space: the first letter of a segment either takes a neutral letter or
+pairs with a later letter k, which splits off the inside and the outside
+of the arc as two independent segments.  Costs are integers over one
+common denominator, and the table is filled bottom-up without recursion.
+
+Why this is the Graev-type norm (the minimum of ``pairing_cost`` over
+the almost irreducible words of length at most 2n over the letters of g,
+their inverses and e that reduce to g, and over all their schemes; the
+family ``tests/oracles.py`` enumerates).  This is the quasi-metric
+analogue of Ding and Gao's theorem for symmetric metrics (Graev metric
+groups and Polishable subgroups, Adv. Math. 2007).  A proof sketch:
+
+* Every matching on g is a candidate: insert e right after each
+  unmatched letter and pair the two.  The word is almost irreducible,
+  reduces to g and has even length 2(n - arcs) <= 2n.
+* Conversely, rewrite any word w reducing to g, with a scheme, without
+  raising the cost or changing what w reduces to, until deleting its
+  e's leaves g.  (1) An e-e arc costs 0 and is dropped; an e paired
+  with a letter v moves to sit right after v, where its arc crosses
+  nothing.  (2) If the e-free word is still not reduced, some x and
+  x^-1 are separated only by e's, and by (1) by at most the e of x.
+  If x and x^-1 pair with each other (cost 0), drop both.  If they are
+  adjacent with partners p and q, drop both and pair p with q:
+  delta(w_p, w_q) <= delta(w_p, x) + delta(x^-1, w_q), from the triangle
+  inequality of rho once in each orientation,
+  rho(w_p^-1, w_q) <= rho(w_p^-1, x) + rho(x, w_q) and
+  rho(w_q^-1, w_p) <= rho(w_q^-1, x^-1) + rho(x^-1, w_p).  This is the
+  step where asymmetry matters, and it holds because an arc averages
+  both orientations.  If the e of x sits between them, drop x and x^-1
+  and let that e take over the arc of x^-1: the cost falls from
+  1 + delta(x^-1, w_q) to delta(e, w_q) <= 1.  Contracting neighbouring
+  positions keeps a scheme non-crossing.  Each step of (2) shortens w
+  and (1) only moves or drops e's, so the rewriting ends at a matching
+  on g that costs at most as much.
+
+The witness is rebuilt from the table with an explicit stack.  In each
+segment the first letter takes the first partner k, in increasing order,
+whose split attains the segment's value, and takes a neutral letter only
+when none does.  The witness word is g with e inserted after each letter
+that took one, and its scheme comes from the same rebuild.  This tie
+order gives the two-point goldens ``a b^-1`` and ``a b``, each paired
+(1,2).  The witness is priced again with ``pairing_cost`` before it is
+returned.  The exhaustive search the DP replaced is kept in the test
 suite as an oracle.
 
 Free abelian group: the norm of an element of length l is the minimum
@@ -32,7 +78,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded, DomainError
 from .qpspace import QPSpace, signed_extension
-from .schemes import Scheme, enumerate_schemes, pairing_cost
+from .schemes import Scheme, pairing_cost
 from .words import AbelianWord, Letter, Word, letter_sort_key
 
 DEFAULT_FREE_CAP = 6
@@ -74,10 +120,10 @@ def graev_norm(space: QPSpace, g: Word,
                cap: int = DEFAULT_FREE_CAP) -> tuple[Fraction, NormWitness]:
     """Exact free-group norm of g with a minimizing witness.
 
-    The identity has norm 0 with an empty witness.  The witness word is
-    chosen deterministically (see ``_free_norm_search``); among pairings
-    of that word achieving the value, the lexicographically least one is
-    returned.
+    The identity has norm 0 with an empty witness.  Otherwise the value
+    comes from the interval DP on the reduced word and the witness from
+    its rebuild (tie order in the module docstring).  Raises
+    ``AssertionError`` if the witness does not price to the value.
     """
     space.ensure_valid(require_bounded=True)
     _check_generators(space, (l.gen for l in g if not l.is_neutral))
@@ -87,9 +133,10 @@ def graev_norm(space: QPSpace, g: Word,
     if len(reduced) > cap:
         raise CapExceeded(
             f"reduced length {len(reduced)} exceeds the search cap {cap}")
-    value, letters = _free_norm_search(space, reduced)
-    word = Word(tuple(letters))
-    scheme = _first_matching_scheme(space, word, value)
+    value, word, scheme = _interval_dp(space, reduced.letters)
+    if pairing_cost(space, word, scheme) != value:
+        raise AssertionError(
+            f"witness [{word}] with scheme [{scheme}] does not price to {value}")
     return value, NormWitness(word, scheme, value)
 
 
@@ -99,325 +146,61 @@ def graev_dist(space: QPSpace, g: Word, h: Word,
     return graev_norm(space, g.inverse() * h, cap)[0]
 
 
-def _first_matching_scheme(space: QPSpace, word: Word, value: Fraction) -> Scheme:
-    n = len(word) // 2
-    for scheme in enumerate_schemes(n, cap=n):
-        if pairing_cost(space, word, scheme) == value:
-            return scheme
-    raise AssertionError("no pairing reproduces the computed norm value")
+def _interval_dp(space: QPSpace,
+                 letters: tuple[Letter, ...]) -> tuple[Fraction, Word, Scheme]:
+    """Least-cost non-crossing partial matching of a reduced word, with
+    its witness word and scheme.
 
-
-def _free_norm_search(space: QPSpace, reduced: Word) -> tuple[Fraction, list[Letter]]:
-    """Minimize the pairing cost over the candidate family of ``reduced``.
-
-    Positions are generated left to right; each position picks a letter
-    and either opens a new pairing arc or closes the innermost open one,
-    so the arcs always form a non-crossing pairing.
-
-    The value pass runs over a rearranged superset of the candidate
-    family that has the same minimum: every candidate can be rewritten,
-    without changing its cost or what it reduces to, so that neutral
-    letters sit directly after their arc partner (so they only ever close
-    a just-opened arc and never open one), neutral pairs matched together
-    are dropped, and a pair of adjacent mutually inverse letters matched
-    to each other is dropped.  Dropping the adjacency constraint in
-    exchange lets states forget the previous letter, so a state is just
-    the reduction stack, the open-arc letters, whether the innermost arc
-    was opened at the previous position, and the length parity, with
-    Pareto dominance over (length, cost) records.
-
-    The witness starts at the candidate that pairs leftover reduced-word
-    letters with inserted neutral letters and is replaced by the best
-    almost irreducible completion the value pass encounters; if the value
-    pass proves a smaller value but only via words outside the almost
-    irreducible family, a second bounded pass recovers an almost
-    irreducible witness at the exact value (one exists by the attainment
-    property of the norm).  All tie handling is a fixed deterministic
-    exploration order.
+    ``cost[i][j]`` is the least cost of the segment ``letters[i:j]``.
     """
-    ctx = _EngineContext(space, reduced)
-    letters, neutral, inv = ctx.letters, ctx.neutral, ctx.inv
-    idelta, scale = ctx.idelta, ctx.scale
-    target, size, max_len = ctx.target, ctx.size, ctx.max_len
-    bits, mask, width = ctx.bits, ctx.mask, ctx.width
-    shift_opens = bits * max_len
-    shift_fresh = shift_opens + bits * size
-    shift_parity = shift_fresh + 1
+    n = len(letters)
+    neutral = Letter.neutral()
+    kinds = set(letters)
+    delta = {(u, v): (signed_extension(space, u.inverse(), v)
+                      + signed_extension(space, v.inverse(), u)) / 2
+             for u in kinds for v in kinds | {neutral}}
+    scale = math.lcm(*(x.denominator for x in delta.values()))
+    arc = [[int(delta[u, v] * scale) for v in letters] for u in letters]
+    single = [int(delta[u, neutral] * scale) for u in letters]
 
-    def pack(codes) -> int:
-        out = 0
-        for i, c in enumerate(codes):
-            out |= (c + 1) << (width - bits * (i + 1))
-        return out
+    cost = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row, inner, arcs = cost[i], cost[i + 1], arc[i]
+        for j in range(i + 1, n + 1):
+            best = single[i] + inner[j]
+            for k in range(i + 1, j):
+                split = arcs[k] + inner[k] + cost[k + 1][j]
+                if split < best:
+                    best = split
+            row[j] = best
 
-    def unpack(packed) -> list[int]:
-        out = []
-        pos = width - bits
-        while pos >= 0:
-            nib = (packed >> pos) & mask
-            if nib == 0:
+    # partner[i] is the position paired with i, or None for a neutral letter
+    partner: list[int | None] = [None] * n
+    segments = [(0, n)]
+    while segments:
+        i, j = segments.pop()
+        if i == j:
+            continue
+        for k in range(i + 1, j):
+            if arc[i][k] + cost[i + 1][k] + cost[k + 1][j] == cost[i][j]:
+                partner[i], partner[k] = k, i
+                segments += ((i + 1, k), (k + 1, j))
                 break
-            out.append(nib - 1)
-            pos -= bits
-        return out
-
-    def almost_irreducible(codes) -> bool:
-        return all(a == neutral or inv[a] != b
-                   for a, b in zip(codes, codes[1:]))
-
-    upper, e_matched = _insertion_plan(target, idelta, neutral)
-    seed: list[int] = []
-    for i, c in enumerate(target):
-        seed.append(c)
-        if e_matched[i]:
-            seed.append(neutral)
-    best_cost = upper
-    best_word = pack(seed)
-    air_cost, air_word = best_cost, best_word
-
-    # state -> Pareto records of (length, cost): a record dominates any
-    # later arrival that is at least as long (same parity) and costly.
-    seen: dict[int, list[tuple[int, int]]] = {}
-
-    def admit(key, length, cost) -> bool:
-        records = seen.get(key)
-        if records is None:
-            seen[key] = [(length, cost)]
-            return True
-        drop = False
-        for rec_len, rec_cost in records:
-            if rec_len <= length and rec_cost <= cost:
-                return False
-            if rec_len >= length and rec_cost >= cost:
-                drop = True
-        if drop:
-            seen[key] = [(l, c) for l, c in records
-                         if l < length or c < cost] + [(length, cost)]
         else:
-            records.append((length, cost))
-        return True
+            segments.append((i + 1, j))
 
-    def walk(stack, depth, match, opens, odepth, fresh, length, cost, word):
-        nonlocal best_cost, best_word, air_cost, air_word
-        if length and not length & 1 and not odepth and depth == size == match:
-            if cost < best_cost:
-                best_cost, best_word = cost, word
-            if cost < air_cost:
-                codes = unpack(word)
-                if almost_irreducible(codes):
-                    air_cost, air_word = cost, word
-            return  # extensions only add cost and length
-        if length == max_len:
-            return
-        budget = max_len - length - 1
-        base = width - bits * (length + 1)
-        clength = length + 1
-        parity_bit = (clength & 1) << shift_parity
-        may_open = odepth < budget and cost < best_cost
-        open_base = ((opens << bits) << shift_opens) | (1 << shift_fresh)
-        if odepth:
-            top = (opens & mask) - 1
-            close_row = idelta[top]
-            close_base = (opens >> bits) << shift_opens
-            inv_top = inv[top] if fresh else -1
-            # A neutral letter only ever closes the arc opened right
-            # before it; rearranging any candidate into that shape keeps
-            # its cost and its reduction.
-            if fresh and odepth - 1 <= budget >= depth + size - 2 * match:
-                ccost = cost + close_row[neutral]
-                if ccost < best_cost:
-                    key = stack | close_base | parity_bit
-                    if admit(key, clength, ccost):
-                        walk(stack, depth, match, opens >> bits, odepth - 1,
-                             False, clength, ccost,
-                             word | (neutral + 1) << base)
-        else:
-            inv_top = -1
-        for letter in range(neutral):
-            if depth and (stack & mask) - 1 == inv[letter]:
-                cdepth = depth - 1
-                cstack = stack >> bits
-                cmatch = cdepth if match == depth else match
-            else:
-                cstack = (stack << bits) | (letter + 1)
-                cdepth = depth + 1
-                cmatch = (match + 1 if match == depth and match < size
-                          and target[match] == letter else match)
-            if cdepth + size - 2 * cmatch > budget:
-                continue
-            cword = word | (letter + 1) << base
-            # open a new arc (cost deferred to its close)
-            if may_open:
-                key = cstack | open_base | (letter + 1) << shift_opens \
-                      | parity_bit
-                if admit(key, clength, cost):
-                    walk(cstack, cdepth, cmatch,
-                         (opens << bits) | (letter + 1), odepth + 1,
-                         True, clength, cost, cword)
-            # close the innermost open arc; a just-opened arc never takes
-            # its opener's inverse (such a pair simply drops out)
-            if odepth and odepth - 1 <= budget and letter != inv_top:
-                ccost = cost + close_row[letter]
-                if ccost < best_cost:
-                    key = cstack | close_base | parity_bit
-                    if admit(key, clength, ccost):
-                        walk(cstack, cdepth, cmatch, opens >> bits,
-                             odepth - 1, False, clength, ccost, cword)
-
-    walk(0, 0, 0, 0, 0, False, 0, 0, 0)
-
-    if air_cost == best_cost:
-        witness = air_word
-    else:
-        witness = _constrained_witness(ctx, best_cost)
-    return Fraction(best_cost, scale), [letters[c] for c in unpack(witness)]
-
-
-class _EngineContext:
-    """Letter coding and packed-state geometry shared by both passes.
-
-    Letters take codes in point order, each positive letter before its
-    inverse, the neutral letter last.  Arc costs are pre-scaled to
-    integers by the common denominator.  Packed words are left-aligned
-    nonzero fields, so integer order equals word order and a proper
-    prefix stays smaller.
-    """
-
-    def __init__(self, space: QPSpace, reduced: Word):
-        order = {p: i for i, p in enumerate(space.points)}
-        gens = sorted({l.gen for l in reduced}, key=order.__getitem__)
-        letters: list[Letter] = []
-        for gen in gens:
-            letters.append(Letter(gen, 1))
-            letters.append(Letter(gen, -1))
-        letters.append(Letter.neutral())
-        self.letters = letters
-        self.neutral = len(letters) - 1
-        code = {letter: c for c, letter in enumerate(letters)}
-        self.inv = [code[letter.inverse()] for letter in letters]
-        # arc cost between letters u (opened) and v (closed): both
-        # orientations of the extension distance, halved
-        delta = [[(signed_extension(space, u.inverse(), v)
-                   + signed_extension(space, v.inverse(), u)) / 2
-                  for v in letters] for u in letters]
-        self.scale = math.lcm(*(x.denominator for row in delta for x in row))
-        self.idelta = [[int(x * self.scale) for x in row] for row in delta]
-        self.target = tuple(code[l] for l in reduced)
-        self.size = len(self.target)
-        self.max_len = 2 * self.size
-        self.bits = (len(letters) + 1).bit_length()
-        self.mask = (1 << self.bits) - 1
-        self.width = self.bits * self.max_len
-
-
-def _constrained_witness(ctx: _EngineContext, value: int) -> int:
-    """First almost irreducible candidate whose best pairing meets the
-    known minimum value, searched in a fixed deterministic order."""
-    target, size, max_len = ctx.target, ctx.size, ctx.max_len
-    inv, idelta, neutral = ctx.inv, ctx.idelta, ctx.neutral
-    bits, mask, width = ctx.bits, ctx.mask, ctx.width
-    shift_opens = bits * max_len
-    shift_prev = shift_opens + bits * size
-    shift_len = shift_prev + bits + 1
-    seen: dict[int, int] = {}
-
-    def walk(stack, depth, match, opens, odepth, prev, length, cost, word):
-        if length and not length & 1 and not odepth and depth == size == match:
-            return word if cost == value else None
-        if length == max_len:
-            return None
-        budget = max_len - length - 1
-        base = width - bits * (length + 1)
-        clength = length + 1
-        inv_prev = inv[prev] if 0 <= prev != neutral else -1
-        if odepth:
-            close_row = idelta[(opens & mask) - 1]
-            close_base = (opens >> bits) << shift_opens
-        for letter in range(neutral + 1):
-            if letter == inv_prev:
-                continue  # keep the witness almost irreducible
-            if letter == neutral:
-                cstack, cdepth, cmatch = stack, depth, match
-            elif depth and (stack & mask) - 1 == inv[letter]:
-                cdepth = depth - 1
-                cstack = stack >> bits
-                cmatch = cdepth if match == depth else match
-            else:
-                cstack = (stack << bits) | (letter + 1)
-                cdepth = depth + 1
-                cmatch = (match + 1 if match == depth and match < size
-                          and target[match] == letter else match)
-            if cdepth + size - 2 * cmatch > budget:
-                continue
-            cword = word | (letter + 1) << base
-            tag = (letter + 1) << shift_prev | clength << shift_len
-            if odepth < budget:
-                copens = (opens << bits) | (letter + 1)
-                key = cstack | copens << shift_opens | tag
-                rec = seen.get(key)
-                if rec is None or cost < rec:
-                    seen[key] = cost
-                    hit = walk(cstack, cdepth, cmatch, copens, odepth + 1,
-                               letter, clength, cost, cword)
-                    if hit is not None:
-                        return hit
-            if odepth and odepth - 1 <= budget:
-                ccost = cost + close_row[letter]
-                if ccost <= value:
-                    key = cstack | close_base | tag
-                    rec = seen.get(key)
-                    if rec is None or ccost < rec:
-                        seen[key] = ccost
-                        hit = walk(cstack, cdepth, cmatch, opens >> bits,
-                                   odepth - 1, letter, clength, ccost, cword)
-                        if hit is not None:
-                            return hit
-        return None
-
-    found = walk(0, 0, 0, 0, 0, -1, 0, 0, 0)
-    if found is None:
-        raise AssertionError("no almost irreducible witness at the minimum")
-    return found
-
-
-def _insertion_plan(target, idelta, neutral) -> tuple[int, list[bool]]:
-    """Best candidate built from the reduced word alone, where positions
-    either pair up (non-crossing) or match an inserted neutral letter.
-    Returns the cost and which positions take a neutral partner."""
-    memo: dict[tuple[int, int], int] = {}
-
-    def cost(i: int, j: int) -> int:
-        if i > j:
-            return 0
-        key = (i, j)
-        if key in memo:
-            return memo[key]
-        best = idelta[target[i]][neutral] + cost(i + 1, j)
-        for k in range(i + 1, j + 1):
-            best = min(best,
-                       idelta[target[i]][target[k]] + cost(i + 1, k - 1)
-                       + cost(k + 1, j))
-        memo[key] = best
-        return best
-
-    e_matched = [False] * len(target)
-
-    def rebuild(i: int, j: int) -> None:
-        while i <= j:
-            total = cost(i, j)
-            for k in range(i + 1, j + 1):
-                if total == (idelta[target[i]][target[k]] + cost(i + 1, k - 1)
-                             + cost(k + 1, j)):
-                    rebuild(i + 1, k - 1)
-                    i = k + 1
-                    break
-            else:
-                e_matched[i] = True
-                i += 1
-
-    value = cost(0, len(target) - 1)
-    rebuild(0, len(target) - 1)
-    return value, e_matched
+    word: list[Letter] = []
+    place = [0] * n
+    pairs = []
+    for i, letter in enumerate(letters):
+        word.append(letter)
+        place[i] = len(word)
+        if partner[i] is None:
+            word.append(neutral)
+            pairs.append((place[i], place[i] + 1))
+        elif partner[i] < i:
+            pairs.append((place[partner[i]], place[i]))
+    return Fraction(cost[0][n], scale), Word(tuple(word)), Scheme(tuple(pairs))
 
 
 def _pair_cost(space: QPSpace, s: Letter, t: Letter,

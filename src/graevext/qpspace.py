@@ -188,13 +188,18 @@ class QPSpace:
         return space
 
 
-def load_space(path) -> QPSpace:
+def read_json(path):
+    """Parse a UTF-8 JSON file; bytes that are not UTF-8 and malformed
+    JSON both raise ``FormatError``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
-    return QPSpace.from_json_dict(obj)
+
+
+def load_space(path) -> QPSpace:
+    return QPSpace.from_json_dict(read_json(path))
 
 
 def _point_of(space: QPSpace, letter: Letter) -> str:

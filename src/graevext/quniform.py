@@ -24,7 +24,6 @@ and an ``opens`` list of point lists.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError
-from .qpspace import QPSpace
+from .qpspace import QPSpace, read_json
 from .words import AbelianWord, validate_symbols
 
 
@@ -205,21 +204,12 @@ class EntourageSequence:
 
 
 def load_entourage(path) -> Entourage:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    return Entourage.from_json_dict(obj)
+    return Entourage.from_json_dict(read_json(path))
 
 
 def load_sequence(path) -> EntourageSequence:
     """Read a JSON array of entourage file paths, relative to the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+    obj = read_json(path)
     if not isinstance(obj, list) or any(not isinstance(p, str) for p in obj):
         raise FormatError("sequence file must be a JSON array of file paths")
     base = os.path.dirname(os.path.abspath(path))
@@ -346,12 +336,7 @@ class FiniteSpace:
 
 
 def load_topology(path) -> FiniteSpace:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    return FiniteSpace.from_json_dict(obj)
+    return FiniteSpace.from_json_dict(read_json(path))
 
 
 def universal_base(space: FiniteSpace) -> Entourage:

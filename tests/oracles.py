@@ -3,10 +3,13 @@
 These deliberately avoid the library's optimized code paths: reduction is
 a rescan-until-fixpoint loop instead of a stack pass, pairings come from
 unfiltered enumeration, and the free-group norm enumerates candidate
-words and pairings outright.  Slow, simple, and only for tests.
+words and pairings outright.  The former exhaustive free-norm walk is
+kept here too, as a second free-norm oracle.  Slow, simple, and only for
+tests.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from graevext import Letter, QPSpace, Word, signed_extension
@@ -125,3 +128,285 @@ def compose_by_matrix(u, v):
     n = len(u.points)
     return [[any(u.relation[i][k] and v.relation[k][j] for k in range(n))
              for j in range(n)] for i in range(n)]
+
+# ---- the exhaustive free-norm walk ------------------------------------------
+#
+# The library's former free-norm search, kept as a second oracle that shares
+# no code with the interval DP in ``graevext.norms``: a depth-first walk over
+# the whole candidate family with dominance pruning.  Its only change is the
+# starting upper bound, which matches every letter with a neutral letter
+# instead of asking the DP.  Exponential; meant for reduced lengths up to 6.
+
+def _free_norm_search(space: QPSpace, reduced: Word) -> tuple[Fraction, list[Letter]]:
+    """Minimize the pairing cost over the candidate family of ``reduced``.
+
+    Positions are generated left to right; each position picks a letter
+    and either opens a new pairing arc or closes the innermost open one,
+    so the arcs always form a non-crossing pairing.
+
+    The value pass runs over a rearranged superset of the candidate
+    family that has the same minimum: every candidate can be rewritten,
+    without changing its cost or what it reduces to, so that neutral
+    letters sit directly after their arc partner (so they only ever close
+    a just-opened arc and never open one), neutral pairs matched together
+    are dropped, and a pair of adjacent mutually inverse letters matched
+    to each other is dropped.  Dropping the adjacency constraint in
+    exchange lets states forget the previous letter, so a state is just
+    the reduction stack, the open-arc letters, whether the innermost arc
+    was opened at the previous position, and the length parity, with
+    Pareto dominance over (length, cost) records.
+
+    The witness starts at the candidate that pairs every reduced-word
+    letter with an inserted neutral letter and is replaced by the best
+    almost irreducible completion the value pass encounters; if the value
+    pass proves a smaller value but only via words outside the almost
+    irreducible family, a second bounded pass recovers an almost
+    irreducible witness at the exact value (one exists by the attainment
+    property of the norm).  All tie handling is a fixed deterministic
+    exploration order.
+    """
+    ctx = _EngineContext(space, reduced)
+    letters, neutral, inv = ctx.letters, ctx.neutral, ctx.inv
+    idelta, scale = ctx.idelta, ctx.scale
+    target, size, max_len = ctx.target, ctx.size, ctx.max_len
+    bits, mask, width = ctx.bits, ctx.mask, ctx.width
+    shift_opens = bits * max_len
+    shift_fresh = shift_opens + bits * size
+    shift_parity = shift_fresh + 1
+
+    def pack(codes) -> int:
+        out = 0
+        for i, c in enumerate(codes):
+            out |= (c + 1) << (width - bits * (i + 1))
+        return out
+
+    def unpack(packed) -> list[int]:
+        out = []
+        pos = width - bits
+        while pos >= 0:
+            nib = (packed >> pos) & mask
+            if nib == 0:
+                break
+            out.append(nib - 1)
+            pos -= bits
+        return out
+
+    def almost_irreducible(codes) -> bool:
+        return all(a == neutral or inv[a] != b
+                   for a, b in zip(codes, codes[1:]))
+
+    # every reduced-word letter matched with an inserted neutral letter:
+    # a candidate, so its cost bounds the minimum from above
+    upper = sum(idelta[c][neutral] for c in target)
+    seed: list[int] = []
+    for c in target:
+        seed += (c, neutral)
+    best_cost = upper
+    best_word = pack(seed)
+    air_cost, air_word = best_cost, best_word
+
+    # state -> Pareto records of (length, cost): a record dominates any
+    # later arrival that is at least as long (same parity) and costly.
+    seen: dict[int, list[tuple[int, int]]] = {}
+
+    def admit(key, length, cost) -> bool:
+        records = seen.get(key)
+        if records is None:
+            seen[key] = [(length, cost)]
+            return True
+        drop = False
+        for rec_len, rec_cost in records:
+            if rec_len <= length and rec_cost <= cost:
+                return False
+            if rec_len >= length and rec_cost >= cost:
+                drop = True
+        if drop:
+            seen[key] = [(l, c) for l, c in records
+                         if l < length or c < cost] + [(length, cost)]
+        else:
+            records.append((length, cost))
+        return True
+
+    def walk(stack, depth, match, opens, odepth, fresh, length, cost, word):
+        nonlocal best_cost, best_word, air_cost, air_word
+        if length and not length & 1 and not odepth and depth == size == match:
+            if cost < best_cost:
+                best_cost, best_word = cost, word
+            if cost < air_cost:
+                codes = unpack(word)
+                if almost_irreducible(codes):
+                    air_cost, air_word = cost, word
+            return  # extensions only add cost and length
+        if length == max_len:
+            return
+        budget = max_len - length - 1
+        base = width - bits * (length + 1)
+        clength = length + 1
+        parity_bit = (clength & 1) << shift_parity
+        may_open = odepth < budget and cost < best_cost
+        open_base = ((opens << bits) << shift_opens) | (1 << shift_fresh)
+        if odepth:
+            top = (opens & mask) - 1
+            close_row = idelta[top]
+            close_base = (opens >> bits) << shift_opens
+            inv_top = inv[top] if fresh else -1
+            # A neutral letter only ever closes the arc opened right
+            # before it; rearranging any candidate into that shape keeps
+            # its cost and its reduction.
+            if fresh and odepth - 1 <= budget >= depth + size - 2 * match:
+                ccost = cost + close_row[neutral]
+                if ccost < best_cost:
+                    key = stack | close_base | parity_bit
+                    if admit(key, clength, ccost):
+                        walk(stack, depth, match, opens >> bits, odepth - 1,
+                             False, clength, ccost,
+                             word | (neutral + 1) << base)
+        else:
+            inv_top = -1
+        for letter in range(neutral):
+            if depth and (stack & mask) - 1 == inv[letter]:
+                cdepth = depth - 1
+                cstack = stack >> bits
+                cmatch = cdepth if match == depth else match
+            else:
+                cstack = (stack << bits) | (letter + 1)
+                cdepth = depth + 1
+                cmatch = (match + 1 if match == depth and match < size
+                          and target[match] == letter else match)
+            if cdepth + size - 2 * cmatch > budget:
+                continue
+            cword = word | (letter + 1) << base
+            # open a new arc (cost deferred to its close)
+            if may_open:
+                key = cstack | open_base | (letter + 1) << shift_opens \
+                      | parity_bit
+                if admit(key, clength, cost):
+                    walk(cstack, cdepth, cmatch,
+                         (opens << bits) | (letter + 1), odepth + 1,
+                         True, clength, cost, cword)
+            # close the innermost open arc; a just-opened arc never takes
+            # its opener's inverse (such a pair simply drops out)
+            if odepth and odepth - 1 <= budget and letter != inv_top:
+                ccost = cost + close_row[letter]
+                if ccost < best_cost:
+                    key = cstack | close_base | parity_bit
+                    if admit(key, clength, ccost):
+                        walk(cstack, cdepth, cmatch, opens >> bits,
+                             odepth - 1, False, clength, ccost, cword)
+
+    walk(0, 0, 0, 0, 0, False, 0, 0, 0)
+
+    if air_cost == best_cost:
+        witness = air_word
+    else:
+        witness = _constrained_witness(ctx, best_cost)
+    return Fraction(best_cost, scale), [letters[c] for c in unpack(witness)]
+
+
+class _EngineContext:
+    """Letter coding and packed-state geometry shared by both passes.
+
+    Letters take codes in point order, each positive letter before its
+    inverse, the neutral letter last.  Arc costs are pre-scaled to
+    integers by the common denominator.  Packed words are left-aligned
+    nonzero fields, so integer order equals word order and a proper
+    prefix stays smaller.
+    """
+
+    def __init__(self, space: QPSpace, reduced: Word):
+        order = {p: i for i, p in enumerate(space.points)}
+        gens = sorted({l.gen for l in reduced}, key=order.__getitem__)
+        letters: list[Letter] = []
+        for gen in gens:
+            letters.append(Letter(gen, 1))
+            letters.append(Letter(gen, -1))
+        letters.append(Letter.neutral())
+        self.letters = letters
+        self.neutral = len(letters) - 1
+        code = {letter: c for c, letter in enumerate(letters)}
+        self.inv = [code[letter.inverse()] for letter in letters]
+        # arc cost between letters u (opened) and v (closed): both
+        # orientations of the extension distance, halved
+        delta = [[(signed_extension(space, u.inverse(), v)
+                   + signed_extension(space, v.inverse(), u)) / 2
+                  for v in letters] for u in letters]
+        self.scale = math.lcm(*(x.denominator for row in delta for x in row))
+        self.idelta = [[int(x * self.scale) for x in row] for row in delta]
+        self.target = tuple(code[l] for l in reduced)
+        self.size = len(self.target)
+        self.max_len = 2 * self.size
+        self.bits = (len(letters) + 1).bit_length()
+        self.mask = (1 << self.bits) - 1
+        self.width = self.bits * self.max_len
+
+
+def _constrained_witness(ctx: _EngineContext, value: int) -> int:
+    """First almost irreducible candidate whose best pairing meets the
+    known minimum value, searched in a fixed deterministic order."""
+    target, size, max_len = ctx.target, ctx.size, ctx.max_len
+    inv, idelta, neutral = ctx.inv, ctx.idelta, ctx.neutral
+    bits, mask, width = ctx.bits, ctx.mask, ctx.width
+    shift_opens = bits * max_len
+    shift_prev = shift_opens + bits * size
+    shift_len = shift_prev + bits + 1
+    seen: dict[int, int] = {}
+
+    def walk(stack, depth, match, opens, odepth, prev, length, cost, word):
+        if length and not length & 1 and not odepth and depth == size == match:
+            return word if cost == value else None
+        if length == max_len:
+            return None
+        budget = max_len - length - 1
+        base = width - bits * (length + 1)
+        clength = length + 1
+        inv_prev = inv[prev] if 0 <= prev != neutral else -1
+        if odepth:
+            close_row = idelta[(opens & mask) - 1]
+            close_base = (opens >> bits) << shift_opens
+        for letter in range(neutral + 1):
+            if letter == inv_prev:
+                continue  # keep the witness almost irreducible
+            if letter == neutral:
+                cstack, cdepth, cmatch = stack, depth, match
+            elif depth and (stack & mask) - 1 == inv[letter]:
+                cdepth = depth - 1
+                cstack = stack >> bits
+                cmatch = cdepth if match == depth else match
+            else:
+                cstack = (stack << bits) | (letter + 1)
+                cdepth = depth + 1
+                cmatch = (match + 1 if match == depth and match < size
+                          and target[match] == letter else match)
+            if cdepth + size - 2 * cmatch > budget:
+                continue
+            cword = word | (letter + 1) << base
+            tag = (letter + 1) << shift_prev | clength << shift_len
+            if odepth < budget:
+                copens = (opens << bits) | (letter + 1)
+                key = cstack | copens << shift_opens | tag
+                rec = seen.get(key)
+                if rec is None or cost < rec:
+                    seen[key] = cost
+                    hit = walk(cstack, cdepth, cmatch, copens, odepth + 1,
+                               letter, clength, cost, cword)
+                    if hit is not None:
+                        return hit
+            if odepth and odepth - 1 <= budget:
+                ccost = cost + close_row[letter]
+                if ccost <= value:
+                    key = cstack | close_base | tag
+                    rec = seen.get(key)
+                    if rec is None or ccost < rec:
+                        seen[key] = ccost
+                        hit = walk(cstack, cdepth, cmatch, opens >> bits,
+                                   odepth - 1, letter, clength, ccost, cword)
+                        if hit is not None:
+                            return hit
+        return None
+
+    found = walk(0, 0, 0, 0, 0, -1, 0, 0, 0)
+    if found is None:
+        raise AssertionError("no almost irreducible witness at the minimum")
+    return found
+
+

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from graevext import parse_rational
 from graevext.cli import main
 
@@ -113,6 +115,23 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "norm", "--space", "/does/not/exist",
                        "--word", "a")
     assert code == 1
+
+
+@pytest.mark.parametrize("loader", ["space", "entourage", "sequence",
+                                    "topology"])
+def test_non_utf8_file_is_format_error(capsys, tmp_path, loader):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{\x00}\x00")
+    argv = {
+        "space": ["validate", "--space", str(binary)],
+        "entourage": ["frink", "--chain",
+                      str(_write_chain(tmp_path, "seq.json", ["binary.json"]))],
+        "sequence": ["frink", "--chain", str(binary)],
+        "topology": ["ubase", "--topology", str(binary)],
+    }[loader]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "utf-8" in err
 
 
 def test_unknown_subcommand(capsys):

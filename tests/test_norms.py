@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,11 @@ from graevext import (AbelianWord, CapExceeded, DomainError, Letter, QPSpace,
                       ball_member, enumerate_schemes, graev_dist, graev_norm,
                       pairing_cost, parse_abelian, parse_word,
                       signed_extension)
-from graevext.norms import _assignment_min, _constrained_witness, _EngineContext
+from graevext.norms import _assignment_min
 from .conftest import random_qpspace, random_reduced_word
-from .oracles import brute_abelian_norm, brute_assignment, brute_free_norm
+from .oracles import (_constrained_witness, _EngineContext, _free_norm_search,
+                      brute_abelian_norm, brute_assignment, brute_free_norm,
+                      gamma_by_formula, scan_reduce)
 
 F = Fraction
 
@@ -75,9 +79,41 @@ def test_witness_contract(two_point_space):
         assert witness.value == value
 
 
+def test_dp_matches_exhaustive_walk():
+    # the interval DP against the former exhaustive walk over the whole
+    # candidate family, at the lengths where the walk still runs quickly
+    rng = random.Random(83)
+    for length in (4, 5, 6):
+        for trial in range(4):
+            sp = random_qpspace(rng, rng.randint(2, 4), denom=rng.randint(1, 12))
+            g = random_reduced_word(rng, sp.points, length, min_len=length)
+            value, witness = graev_norm(sp, g)
+            assert value == _free_norm_search(sp, g)[0]
+            assert scan_reduce(witness.word) == g
+            assert gamma_by_formula(sp, witness.word.letters,
+                                    witness.scheme.pairs) == value
+
+
+def test_long_word_needs_no_recursion():
+    rng = random.Random(89)
+    sp = random_qpspace(rng, 3)
+    g = random_reduced_word(rng, sp.points, 150, min_len=150)
+    expected = graev_norm(sp, g, cap=150)
+    # 25 frames above the caller: enough for the call itself, far less
+    # than a recursion over the segments of 150 letters needs
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 25)
+    try:
+        got = graev_norm(sp, g, cap=150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
+
+
 def test_constrained_witness_pass(two_point_space):
-    # the fallback pass must recover an almost irreducible word whose best
-    # pairing hits the exact norm value, for any input it can be handed
+    # the exhaustive walk's fallback pass must recover an almost
+    # irreducible word whose best pairing hits the exact norm value, for
+    # any input it can be handed
     rng = random.Random(44)
     for trial in range(25):
         sp = random_qpspace(rng, rng.randint(2, 3))
