@@ -56,15 +56,33 @@ order gives the two-point goldens ``a b^-1`` and ``a b``, each paired
 returned.  The exhaustive search the DP replaced is kept in the test
 suite as an oracle.
 
-Free abelian group: the norm of an element of length l is the minimum
-over all perfect pairings of its multiset of signed letters (padded with
-one neutral letter when l is odd) of the per-pair cost, where an
-unordered pair {s, t} may be realized as the difference term in either
-orientation and pays the cheaper one.  Balanced elements (coefficient
-sum zero) additionally admit a bipartite formulation: a minimum-cost
-perfect matching between the negatively and positively signed letters
-under the original distance, solved by an exact rational assignment
-algorithm.
+Free abelian group.  The norm of h is the least cost of a perfect
+pairing of its signed letters, with one neutral letter added when their
+number is odd, where a pair {s, t} is realized as the difference t - s
+or s - t and pays the cheaper of rho(s^-1, t) and rho(t^-1, s).  With d
+bounded by 1, a negative letter x^-1 paired with a positive letter y
+costs d(x, y) <= 1, a letter paired with the neutral letter costs 1, and
+two letters of the same sign cost 2.  So an optimal pairing never keeps
+same-sign pairs of both signs: two of them cost 4, and pairing across
+instead costs at most 2.  Nor does it keep a same-sign pair together
+with a neutral pair of the other sign (cost 3 against at most 2).
+Hence every letter of the shorter sign class is paired across, and each
+excess letter of the longer one pays exactly 1, whether paired with
+another excess letter or with the neutral letter.  The norm is the least cost of
+an assignment of the shorter class into the longer one at d(x, y), plus
+the number of excess letters: a rectangular assignment problem (Kuhn's
+Hungarian method, Naval Res. Logist. Q. 1955), solved exactly over
+Fractions by shortest augmenting paths, O(s^2 l) for s rows and l
+columns.  A balanced element (coefficient sum zero) has no excess
+letters, so its assignment needs no bound on d: ``abelian_norm_balanced``
+computes it over any valid space.
+
+The abelian witness lists, for each negative letter x^-1 of h in term
+order, the pair (x, y) with its assigned positive letter y; then the
+excess letters in term order, two at a time as (u^-1, v) at cost 2, and
+an odd last one as (u^-1, e) at cost 1.  Among assignments of equal
+cost, the one the solver reaches (rows added in term order) is reported.
+The exhaustive pairing search is kept in the test suite as an oracle.
 
 All caps are plain size guards; exceeding one raises ``CapExceeded``
 instead of silently truncating the search.
@@ -79,7 +97,7 @@ from fractions import Fraction
 from .errors import CapExceeded, DomainError
 from .qpspace import QPSpace, signed_extension
 from .schemes import Scheme, pairing_cost
-from .words import AbelianWord, Letter, Word, letter_sort_key
+from .words import AbelianWord, Letter, Word
 
 DEFAULT_FREE_CAP = 6
 DEFAULT_ABELIAN_CAP = 12
@@ -203,67 +221,19 @@ def _interval_dp(space: QPSpace,
     return Fraction(cost[0][n], scale), Word(tuple(word)), Scheme(tuple(pairs))
 
 
-def _pair_cost(space: QPSpace, s: Letter, t: Letter,
-               order) -> tuple[Fraction, tuple[Letter, Letter]]:
-    """Cheapest oriented realization of the unordered pair {s, t}."""
-    first = (s.inverse(), t)
-    second = (t.inverse(), s)
-    c1 = signed_extension(space, *first)
-    c2 = signed_extension(space, *second)
-    if c2 < c1:
-        return c2, second
-    if c1 < c2:
-        return c1, first
-    key = lambda pair: (letter_sort_key(pair[0], order),
-                        letter_sort_key(pair[1], order))
-    return c1, min(first, second, key=key)
-
-
 def abelian_norm(space: QPSpace, h: AbelianWord,
                  cap: int = DEFAULT_ABELIAN_CAP) -> tuple[Fraction, PairingWitness]:
     """Exact abelian norm of h with a minimizing oriented pairing.
 
-    Brute-forces all perfect pairings of the padded letter multiset; the
-    first minimum encountered in the canonical enumeration order (earliest
-    remaining letter pairs with each later one) is returned.
+    Needs a space bounded by 1, where the assignment of the module
+    docstring is exact; the witness order is given there too.
     """
     space.ensure_valid(require_bounded=True)
     _check_generators(space, h.generators())
     length = h.length()
-    if length == 0:
-        return Fraction(0), PairingWitness((), Fraction(0))
-    if length > cap:
+    if length and length > cap:
         raise CapExceeded(f"length {length} exceeds the pairing cap {cap}")
-    pool = list(h.letters())
-    if length % 2 == 1:
-        pool.append(Letter.neutral())
-    order = {p: i for i, p in enumerate(space.points)}
-
-    best: list = [None, None]
-
-    def search(remaining: tuple[Letter, ...], acc: Fraction, pairs: list) -> None:
-        if not remaining:
-            if best[0] is None or acc < best[0]:
-                best[0], best[1] = acc, tuple(pairs)
-            return
-        head = remaining[0]
-        rest = remaining[1:]
-        tried: set[Letter] = set()
-        for idx, partner in enumerate(rest):
-            if partner in tried:
-                continue
-            tried.add(partner)
-            value, oriented = _pair_cost(space, head, partner, order)
-            total = acc + value
-            if best[0] is not None and total >= best[0]:
-                continue
-            pairs.append(oriented)
-            search(rest[:idx] + rest[idx + 1:], total, pairs)
-            pairs.pop()
-
-    search(tuple(pool), Fraction(0), [])
-    assert best[0] is not None
-    return best[0], PairingWitness(best[1], best[0])
+    return _abelian_match(space, h)
 
 
 def abelian_norm_balanced(space: QPSpace,
@@ -271,26 +241,44 @@ def abelian_norm_balanced(space: QPSpace,
     """Abelian norm of a balanced element via exact bipartite assignment.
 
     Matches the multiset of negatively signed generators against the
-    positively signed ones at the original distance.  Agrees with
-    ``abelian_norm`` whenever the space is bounded by 1; unlike the
-    pairing route it is also meaningful for unbounded valid spaces.
+    positively signed ones at the original distance.  The same route as
+    ``abelian_norm``, but with no excess letters it is also meaningful
+    for unbounded valid spaces.
     """
     space.ensure_valid()
     _check_generators(space, h.generators())
     if h.coefficient_sum() != 0:
         raise DomainError(
             f"coefficient sum {h.coefficient_sum()} != 0: element is unbalanced")
+    return _abelian_match(space, h)
+
+
+def _abelian_match(space: QPSpace,
+                   h: AbelianWord) -> tuple[Fraction, PairingWitness]:
+    """Assign the shorter sign class of h into the longer one; each excess
+    letter pays 1.  Value and witness order as in the module docstring."""
     sources: list[str] = []
     targets: list[str] = []
     for gen, m in h.terms:
         (targets if m > 0 else sources).extend([gen] * abs(m))
-    if not sources:
-        return Fraction(0), PairingWitness((), Fraction(0))
-    cost = [[space.d(z, t) for t in targets] for z in sources]
-    value, match = _assignment_min(cost)
-    pairs = tuple((Letter(sources[i], 1), Letter(targets[match[i]], 1))
-                  for i in range(len(sources)))
-    return value, PairingWitness(pairs, value)
+    if len(sources) <= len(targets):
+        value, match = _assignment_min(
+            [[space.d(x, y) for y in targets] for x in sources])
+        partner = dict(enumerate(match))
+    else:
+        value, match = _assignment_min(
+            [[space.d(x, y) for x in sources] for y in targets])
+        partner = {i: j for j, i in enumerate(match)}
+    pairs = [(Letter(sources[i], 1), Letter(targets[partner[i]], 1))
+             for i in sorted(partner)]
+    taken = set(partner.values())
+    excess = ([Letter(x, -1) for i, x in enumerate(sources) if i not in partner]
+              + [Letter(y, 1) for j, y in enumerate(targets) if j not in taken])
+    value += len(excess)
+    if len(excess) % 2:
+        excess.append(Letter.neutral())
+    pairs += [(u.inverse(), v) for u, v in zip(excess[::2], excess[1::2])]
+    return value, PairingWitness(tuple(pairs), value)
 
 
 def abelian_dist(space: QPSpace, g: AbelianWord, h: AbelianWord,
@@ -319,31 +307,34 @@ def ball_member(space: QPSpace, g, eps: Fraction, cap: int | None = None) -> boo
 
 
 def _assignment_min(cost: list[list[Fraction]]) -> tuple[Fraction, list[int]]:
-    """Minimum-cost perfect matching on a square rational matrix.
+    """Minimum-cost matching of every row to a distinct column, for a
+    rational matrix with no more rows than columns.
 
     Potential-based shortest augmenting paths; exact because every
     intermediate quantity stays a Fraction.  Returns the total cost and
     the column matched to each row.
     """
     n = len(cost)
-    if any(len(row) != n for row in cost):
-        raise DomainError("assignment matrix must be square")
+    m = len(cost[0]) if cost else 0
+    if any(len(row) != m for row in cost) or n > m:
+        raise DomainError("assignment matrix needs rows of one length, "
+                          "no more rows than columns")
     infinity = sum((x for row in cost for x in row), Fraction(0)) + 1
     u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (n + 1)
-    p = [0] * (n + 1)
-    way = [0] * (n + 1)
+    v = [Fraction(0)] * (m + 1)
+    p = [0] * (m + 1)
+    way = [0] * (m + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [infinity] * (n + 1)
-        used = [False] * (n + 1)
+        minv = [infinity] * (m + 1)
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
             delta = infinity
             j1 = 0
-            for j in range(1, n + 1):
+            for j in range(1, m + 1):
                 if used[j]:
                     continue
                 cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
@@ -353,7 +344,7 @@ def _assignment_min(cost: list[list[Fraction]]) -> tuple[Fraction, list[int]]:
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
+            for j in range(m + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
@@ -367,7 +358,7 @@ def _assignment_min(cost: list[list[Fraction]]) -> tuple[Fraction, list[int]]:
             p[j0] = p[j1]
             j0 = j1
     match = [0] * n
-    for j in range(1, n + 1):
+    for j in range(1, m + 1):
         if p[j]:
             match[p[j] - 1] = j - 1
     total = sum((cost[i][match[i]] for i in range(n)), Fraction(0))

@@ -404,6 +404,32 @@ def _pair_delta(x: str, y: str) -> AbelianWord:
     return AbelianWord.from_mapping({x: -1}) + AbelianWord.from_mapping({y: 1})
 
 
+def _first_choice(g: AbelianWord, levels: list[list[tuple[str, str]]]
+                  ) -> tuple[tuple[str, str], ...] | None:
+    """First choice of one pair (x_i, y_i) from each level, in level order
+    and in each level's order, with -x_1+y_1-...-x_k+y_k equal to g."""
+    dead: set[tuple[int, AbelianWord]] = set()
+
+    def search(level: int, remaining: AbelianWord, acc: list):
+        if level == len(levels):
+            return tuple(acc) if remaining.is_identity else None
+        if remaining.length() > 2 * (len(levels) - level):
+            return None
+        state = (level, remaining)
+        if state in dead:
+            return None
+        for x, y in levels[level]:
+            acc.append((x, y))
+            hit = search(level + 1, remaining - _pair_delta(x, y), acc)
+            if hit is not None:
+                return hit
+            acc.pop()
+        dead.add(state)
+        return None
+
+    return search(0, g, [])
+
+
 def _check_element(g: AbelianWord, points: tuple[str, ...]) -> None:
     missing = [gen for gen in g.generators() if gen not in points]
     if missing:
@@ -427,26 +453,7 @@ def decompose_prefix(g: AbelianWord, seq: EntourageSequence,
         return None
     sorted_pairs = [sorted(e.pairs()) for e in seq]
     for k in range(1, k_max + 1):
-        dead: set[tuple[int, AbelianWord]] = set()
-
-        def search(level: int, remaining: AbelianWord, acc: list):
-            if level == k:
-                return tuple(acc) if remaining.is_identity else None
-            if remaining.length() > 2 * (k - level):
-                return None
-            state = (level, remaining)
-            if state in dead:
-                return None
-            for x, y in sorted_pairs[level]:
-                acc.append((x, y))
-                hit = search(level + 1, remaining - _pair_delta(x, y), acc)
-                if hit is not None:
-                    return hit
-                acc.pop()
-            dead.add(state)
-            return None
-
-        found = search(0, g, [])
+        found = _first_choice(g, sorted_pairs[:k])
         if found is not None:
             return PrefixDecomposition(k, found)
     return None
@@ -471,26 +478,7 @@ def decompose_subset(g: AbelianWord, seq: EntourageSequence,
     sorted_pairs = [sorted(e.pairs()) for e in seq]
     for size in range(1, n + 1):
         for positions in combinations(range(len(seq)), size):
-            dead: set[tuple[int, AbelianWord]] = set()
-
-            def search(level: int, remaining: AbelianWord, acc: list):
-                if level == size:
-                    return tuple(acc) if remaining.is_identity else None
-                if remaining.length() > 2 * (size - level):
-                    return None
-                state = (level, remaining)
-                if state in dead:
-                    return None
-                for x, y in sorted_pairs[positions[level]]:
-                    acc.append((x, y))
-                    hit = search(level + 1, remaining - _pair_delta(x, y), acc)
-                    if hit is not None:
-                        return hit
-                    acc.pop()
-                dead.add(state)
-                return None
-
-            found = search(0, g, [])
+            found = _first_choice(g, [sorted_pairs[p] for p in positions])
             if found is not None:
                 return SubsetDecomposition(
                     tuple(p + 1 for p in positions), found)

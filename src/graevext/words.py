@@ -11,8 +11,9 @@ Text syntax accepted by the parsers:
 
 * word: whitespace-separated tokens, each ``sym``, ``sym^k`` (k may be
   negative) or ``e``;
-* abelian element: either word syntax (then abelianized) or ``+``/``-``
-  separated terms such as ``-2a + 3b``; ``0`` and ``e`` denote the identity.
+* abelian element: either word syntax (exponents summed per generator,
+  never expanded into letters) or ``+``/``-`` separated terms such as
+  ``-2a + 3b``; ``0`` and ``e`` denote the identity.
 
 Generator symbols must be declared up front; an unknown symbol is a parse
 error, never a silent extension of the alphabet.  The symbol ``e`` is
@@ -85,14 +86,6 @@ class Letter:
 
     def __str__(self) -> str:
         return self.token()
-
-
-def letter_sort_key(letter: Letter, point_order: Mapping[str, int]) -> tuple:
-    """Total order on letters: generators in declared order, each positive
-    letter before its inverse, the neutral letter last."""
-    if letter.is_neutral:
-        return (1,)
-    return (0, point_order[letter.gen], 0 if letter.sign > 0 else 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,13 +276,12 @@ class AbelianWord:
         return " ".join(parts)
 
 
-def parse_word(text: str, alphabet: Collection[str]) -> Word:
-    """Parse word syntax against a declared alphabet."""
-    symbols = set(validate_symbols(alphabet))
-    letters: list[Letter] = []
+def _word_tokens(text: str, symbols: set[str]) -> Iterator[tuple[str | None, int]]:
+    """The tokens of word syntax as (generator, exponent) pairs, with
+    (None, 0) for the neutral letter; nothing is expanded."""
     for tok in text.split():
         if tok == NEUTRAL_TOKEN:
-            letters.append(Letter.neutral())
+            yield None, 0
             continue
         m = _TOKEN_RE.match(tok)
         if m is None:
@@ -299,14 +291,28 @@ def parse_word(text: str, alphabet: Collection[str]) -> Word:
             raise FormatError("the neutral letter takes no exponent")
         if sym not in symbols:
             raise FormatError(f"unknown generator {sym!r}")
-        k = 1 if exp is None else int(exp)
-        sign = 1 if k > 0 else -1
-        letters.extend(Letter(sym, sign) for _ in range(abs(k)))
+        yield sym, 1 if exp is None else int(exp)
+
+
+def parse_word(text: str, alphabet: Collection[str]) -> Word:
+    """Parse word syntax against a declared alphabet."""
+    symbols = set(validate_symbols(alphabet))
+    letters: list[Letter] = []
+    for sym, k in _word_tokens(text, symbols):
+        if sym is None:
+            letters.append(Letter.neutral())
+        else:
+            sign = 1 if k > 0 else -1
+            letters.extend(Letter(sym, sign) for _ in range(abs(k)))
     return Word(tuple(letters))
 
 
 def parse_abelian(text: str, alphabet: Collection[str]) -> AbelianWord:
-    """Parse an abelian element, accepting term syntax or word syntax."""
+    """Parse an abelian element, accepting term syntax or word syntax.
+
+    Word syntax adds each exponent to its generator's count, so ``a^k``
+    costs the same for every k.
+    """
     symbols = set(validate_symbols(alphabet))
     stripped = text.strip()
     if stripped in ("", "0", NEUTRAL_TOKEN):
@@ -315,7 +321,11 @@ def parse_abelian(text: str, alphabet: Collection[str]) -> AbelianWord:
         parsed = _parse_terms(stripped, symbols)
         if parsed is not None:
             return parsed
-    return parse_word(text, alphabet).abelianize()
+    counts: dict[str, int] = {}
+    for sym, k in _word_tokens(text, symbols):
+        if sym is not None:
+            counts[sym] = counts.get(sym, 0) + k
+    return AbelianWord.from_mapping(counts)
 
 
 def _parse_terms(text: str, symbols: set[str]) -> AbelianWord | None:

@@ -118,9 +118,11 @@ def brute_abelian_norm(space: QPSpace, h) -> Fraction:
 
 
 def brute_assignment(cost) -> Fraction:
+    """Least cost of matching each row to a distinct column, rows <= columns."""
     n = len(cost)
+    m = len(cost[0]) if cost else 0
     return min(sum((cost[i][perm[i]] for i in range(n)), Fraction(0))
-               for perm in itertools.permutations(range(n)))
+               for perm in itertools.permutations(range(m), n))
 
 
 def compose_by_matrix(u, v):

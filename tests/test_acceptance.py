@@ -92,8 +92,10 @@ def test_criterion_04_balanced_oracle_equivalence():
             mapping[rng.choice(sp.points)] -= 1
         h = AbelianWord.from_mapping(mapping)
         assert h.coefficient_sum() == 0 and h.length() <= 8
-        assert abelian_norm_balanced(sp, h)[0] == abelian_norm(sp, h)[0]
-    _passed(4, "balanced assignment equals pairing norm")
+        expected = brute_abelian_norm(sp, h)
+        assert abelian_norm_balanced(sp, h)[0] == expected
+        assert abelian_norm(sp, h)[0] == expected
+    _passed(4, "balanced assignment equals the brute-force pairing oracle")
 
 
 def test_criterion_05_witness_soundness():

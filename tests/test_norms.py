@@ -271,6 +271,27 @@ def test_balanced_three_point():
     assert abelian_norm_balanced(sp, h)[0] == sp.d("a", "c") + sp.d("b", "c")
 
 
+def test_abelian_assignment_crosses_term_order():
+    # only a->d and b->c are short, so the optimal assignment crosses the
+    # term order, whichever sign class has more letters
+    one, eighth = F(1), F(1, 8)
+    sp = QPSpace(("a", "b", "c", "d"),
+                 ((F(0), one, one, eighth),
+                  (one, F(0), eighth, one),
+                  (one, one, F(0), one),
+                  (one, one, one, F(0))))
+    assert not sp.validate(require_bounded=True)
+    cases = {"-a - b + c + d": (F(1, 4), "(a,d) (b,c)"),
+             "-a - b + 2c + d": (F(5, 4), "(a,d) (b,c) (c^-1,e)"),
+             "-a - 2b + c + d": (F(5, 4), "(a,d) (b,c) (b,e)")}
+    for text, (value, pairs) in cases.items():
+        h = parse_abelian(text, sp.points)
+        assert brute_abelian_norm(sp, h) == value
+        assert str(abelian_norm(sp, h)[1]) == f"value={value} pairs=[{pairs}]"
+    h = parse_abelian("-a - b + c + d", sp.points)
+    assert abelian_norm_balanced(sp, h) == abelian_norm(sp, h)
+
+
 def test_balanced_rejects_unbalanced(two_point_space):
     with pytest.raises(DomainError):
         abelian_norm_balanced(two_point_space,
@@ -287,7 +308,7 @@ def test_balanced_equals_pairing_norm():
             pool[plus] += 1
             pool[minus] -= 1
         h = AbelianWord.from_mapping(pool)
-        assert abelian_norm_balanced(sp, h)[0] == abelian_norm(sp, h)[0]
+        assert abelian_norm_balanced(sp, h)[0] == brute_abelian_norm(sp, h)
 
 
 def test_balanced_allows_unbounded_space():
@@ -297,14 +318,35 @@ def test_balanced_allows_unbounded_space():
 
 def test_assignment_against_permutations():
     rng = random.Random(73)
-    for trial in range(30):
-        n = rng.randint(1, 5)
-        cost = [[F(rng.randint(0, 20), rng.randint(1, 8)) for _ in range(n)]
+
+    def check(n: int, m: int) -> None:
+        cost = [[F(rng.randint(0, 20), rng.randint(1, 8)) for _ in range(m)]
                 for _ in range(n)]
         value, match = _assignment_min(cost)
-        assert sorted(match) == list(range(n))
+        assert len(set(match)) == n and all(0 <= j < m for j in match)
         assert value == brute_assignment(cost)
         assert value == sum((cost[i][match[i]] for i in range(n)), F(0))
+
+    for trial in range(30):
+        n = rng.randint(1, 5)
+        check(n, n)
+    # fewer rows than columns, down to none
+    for n, m in ((0, 3), (1, 4), (2, 5), (3, 6), (4, 5), (2, 3)):
+        check(n, m)
+    with pytest.raises(DomainError):
+        _assignment_min([[F(1)], [F(2)]])
+
+
+def test_conjugate_space_law():
+    # the norm over the transposed distance is the norm of the inverse
+    rng = random.Random(97)
+    for trial in range(20):
+        sp = random_qpspace(rng, rng.randint(2, 4))
+        g = random_reduced_word(rng, sp.points, 5)
+        assert graev_norm(sp.conjugate(), g)[0] == graev_norm(sp, g.inverse())[0]
+        h = AbelianWord.from_mapping({gen: rng.randint(-3, 3)
+                                      for gen in sp.points})
+        assert abelian_norm(sp.conjugate(), h)[0] == abelian_norm(sp, -h)[0]
 
 
 def test_abelian_dist(two_point_space):

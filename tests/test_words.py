@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -177,6 +178,17 @@ def test_abelian_word_arithmetic():
 ])
 def test_parse_abelian(text, mapping):
     assert parse_abelian(text, AB) == AbelianWord.from_mapping(mapping)
+
+
+def test_parse_abelian_keeps_exponents_whole():
+    tracemalloc.start()
+    try:
+        g = parse_abelian("a^100000 b^-3", AB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == AbelianWord.from_mapping({"a": 100000, "b": -3})
+    assert peak < 1_000_000, f"parsing peaked at {peak} bytes"
 
 
 def test_parse_abelian_rejects_unknown():
