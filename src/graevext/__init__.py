@@ -12,7 +12,7 @@ pair-sum neighborhood decompositions.
 from .errors import CapExceeded, DomainError, FormatError
 from .norms import (NormWitness, PairingWitness, abelian_dist, abelian_norm,
                     abelian_norm_balanced, ball_member, graev_dist,
-                    graev_norm)
+                    graev_norm, norm)
 from .qpspace import (QPSpace, Violation, load_space, neutral_extension,
                       parse_rational, signed_extension)
 from .quniform import (Entourage, EntourageSequence, FiniteSpace,
@@ -37,6 +37,7 @@ __all__ = [
     "entourage_metric", "enumerate_schemes", "frink_metric",
     "from_normal_form", "graev_dist", "graev_norm", "in_length_ball",
     "is_scheme", "load_entourage", "load_sequence", "load_space",
-    "load_topology", "neutral_extension", "parse_abelian", "parse_rational",
-    "parse_word", "pairing_cost", "signed_extension", "universal_base",
+    "load_topology", "neutral_extension", "norm", "parse_abelian",
+    "parse_rational", "parse_word", "pairing_cost", "signed_extension",
+    "universal_base",
 ]

@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import CapExceeded, DomainError
-from .norms import (DEFAULT_ABELIAN_CAP, DEFAULT_FREE_CAP, abelian_norm,
-                    ball_member, graev_norm)
+from .norms import ball_member, norm
 from .qpspace import load_space, parse_rational
 from .quniform import (composition_contained, decompose_prefix,
                        decompose_subset, frink_metric, load_sequence,
@@ -25,16 +23,26 @@ from .words import parse_abelian, parse_word
 
 def _load_space(args):
     space = load_space(args.space)
-    if getattr(args, "cap_at_one", False):
+    if args.cap_at_one:
         space = space.cap_at_one()
     return space
 
 
-def _parse_eps(text: str) -> Fraction:
-    eps = parse_rational(text)
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    return eps
+def _group(args):
+    """The parser and the left difference (g, h) -> g^-1 h of the group the
+    command works in: the free abelian group with --abelian, else the free
+    group."""
+    if args.abelian:
+        return parse_abelian, lambda g, h: h - g
+    return parse_word, lambda g, h: g.inverse() * h
+
+
+def _print_norm(args, space, element) -> int:
+    value, witness = norm(space, element, args.cap)
+    print(value)
+    if args.witness:
+        print(witness)
+    return 0
 
 
 def cmd_validate(args) -> int:
@@ -50,45 +58,23 @@ def cmd_validate(args) -> int:
 
 def cmd_norm(args) -> int:
     space = _load_space(args)
-    if args.abelian:
-        element = parse_abelian(args.word, space.points)
-        cap = args.cap if args.cap is not None else DEFAULT_ABELIAN_CAP
-        value, witness = abelian_norm(space, element, cap)
-    else:
-        element = parse_word(args.word, space.points)
-        cap = args.cap if args.cap is not None else DEFAULT_FREE_CAP
-        value, witness = graev_norm(space, element, cap)
-    print(value)
-    if args.witness:
-        print(witness)
-    return 0
+    parse, _ = _group(args)
+    return _print_norm(args, space, parse(args.word, space.points))
 
 
 def cmd_dist(args) -> int:
     space = _load_space(args)
-    if args.abelian:
-        src = parse_abelian(args.src, space.points)
-        dst = parse_abelian(args.dst, space.points)
-        cap = args.cap if args.cap is not None else DEFAULT_ABELIAN_CAP
-        value, witness = abelian_norm(space, dst - src, cap)
-    else:
-        src = parse_word(args.src, space.points)
-        dst = parse_word(args.dst, space.points)
-        cap = args.cap if args.cap is not None else DEFAULT_FREE_CAP
-        value, witness = graev_norm(space, src.inverse() * dst, cap)
-    print(value)
-    if args.witness:
-        print(witness)
-    return 0
+    parse, difference = _group(args)
+    src = parse(args.src, space.points)
+    dst = parse(args.dst, space.points)
+    return _print_norm(args, space, difference(src, dst))
 
 
 def cmd_member(args) -> int:
     space = _load_space(args)
-    eps = _parse_eps(args.eps)
-    if args.abelian:
-        element = parse_abelian(args.word, space.points)
-    else:
-        element = parse_word(args.word, space.points)
+    eps = parse_rational(args.eps)
+    parse, _ = _group(args)
+    element = parse(args.word, space.points)
     print("true" if ball_member(space, element, eps, args.cap) else "false")
     return 0
 
@@ -139,13 +125,13 @@ def cmd_wmember(args) -> int:
     return 0
 
 
-def _add_space_options(sub, with_cap=True):
+def _add_space_options(sub):
     sub.add_argument("--space", required=True, help="space file (JSON)")
     sub.add_argument("--cap-at-one", action="store_true",
                      help="replace every distance above 1 by 1 before use")
-    if with_cap:
-        sub.add_argument("--cap", type=int, default=None,
-                         help="override the search cap")
+    sub.add_argument("--cap", type=int, default=None,
+                     help="override the search cap")
+    sub.add_argument("--abelian", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("norm", help="norm of a group element")
     _add_space_options(p)
     p.add_argument("--word", required=True)
-    p.add_argument("--abelian", action="store_true")
     p.add_argument("--witness", action="store_true",
                    help="also print the minimizing witness")
     p.set_defaults(func=cmd_norm)
@@ -174,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_options(p)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--abelian", action="store_true")
     p.add_argument("--witness", action="store_true")
     p.set_defaults(func=cmd_dist)
 
@@ -182,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_options(p)
     p.add_argument("--word", required=True)
     p.add_argument("--eps", required=True)
-    p.add_argument("--abelian", action="store_true")
     p.set_defaults(func=cmd_member)
 
     p = subs.add_parser("schemes",

@@ -95,7 +95,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, DomainError
-from .qpspace import QPSpace, signed_extension
+from .qpspace import QPSpace, check_generators, signed_extension
 from .schemes import Scheme, pairing_cost
 from .words import AbelianWord, Letter, Word
 
@@ -128,12 +128,6 @@ class PairingWitness:
         return f"value={self.value} pairs=[{body}]"
 
 
-def _check_generators(space: QPSpace, gens) -> None:
-    for gen in gens:
-        if gen not in space.index:
-            raise DomainError(f"unknown generator {gen!r}")
-
-
 def graev_norm(space: QPSpace, g: Word,
                cap: int = DEFAULT_FREE_CAP) -> tuple[Fraction, NormWitness]:
     """Exact free-group norm of g with a minimizing witness.
@@ -144,7 +138,7 @@ def graev_norm(space: QPSpace, g: Word,
     ``AssertionError`` if the witness does not price to the value.
     """
     space.ensure_valid(require_bounded=True)
-    _check_generators(space, (l.gen for l in g if not l.is_neutral))
+    check_generators(space, (l.gen for l in g))
     reduced = g.reduce()
     if not len(reduced):
         return Fraction(0), NormWitness(Word(), Scheme(()), Fraction(0))
@@ -229,7 +223,7 @@ def abelian_norm(space: QPSpace, h: AbelianWord,
     docstring is exact; the witness order is given there too.
     """
     space.ensure_valid(require_bounded=True)
-    _check_generators(space, h.generators())
+    check_generators(space, h.generators())
     length = h.length()
     if length and length > cap:
         raise CapExceeded(f"length {length} exceeds the pairing cap {cap}")
@@ -246,7 +240,7 @@ def abelian_norm_balanced(space: QPSpace,
     for unbounded valid spaces.
     """
     space.ensure_valid()
-    _check_generators(space, h.generators())
+    check_generators(space, h.generators())
     if h.coefficient_sum() != 0:
         raise DomainError(
             f"coefficient sum {h.coefficient_sum()} != 0: element is unbalanced")
@@ -287,23 +281,27 @@ def abelian_dist(space: QPSpace, g: AbelianWord, h: AbelianWord,
     return abelian_norm(space, h - g, cap)[0]
 
 
-def ball_member(space: QPSpace, g, eps: Fraction, cap: int | None = None) -> bool:
-    """True iff the norm of g is strictly below eps.
+def norm(space: QPSpace, g: Word | AbelianWord,
+         cap: int | None = None) -> tuple[Fraction, NormWitness | PairingWitness]:
+    """Norm of g over the space, with a minimizing witness.
 
-    Dispatches on the element type: ``Word`` uses the free-group norm,
-    ``AbelianWord`` the abelian one.
+    A ``Word`` takes ``graev_norm`` and an ``AbelianWord`` takes
+    ``abelian_norm``, each with its own default cap when cap is None;
+    any other type raises ``DomainError``.
     """
+    if isinstance(g, Word):
+        return graev_norm(space, g, DEFAULT_FREE_CAP if cap is None else cap)
+    if isinstance(g, AbelianWord):
+        return abelian_norm(space, g, DEFAULT_ABELIAN_CAP if cap is None else cap)
+    raise DomainError(f"unsupported element type {type(g).__name__}")
+
+
+def ball_member(space: QPSpace, g, eps: Fraction, cap: int | None = None) -> bool:
+    """True iff the norm of g (see ``norm``) is strictly below eps."""
     eps = Fraction(eps)
     if eps <= 0:
-        raise DomainError(f"radius must be positive, got {eps}")
-    if isinstance(g, Word):
-        value = graev_norm(space, g, cap if cap is not None else DEFAULT_FREE_CAP)[0]
-    elif isinstance(g, AbelianWord):
-        value = abelian_norm(space, g,
-                             cap if cap is not None else DEFAULT_ABELIAN_CAP)[0]
-    else:
-        raise DomainError(f"unsupported element type {type(g).__name__}")
-    return value < eps
+        raise DomainError(f"eps must be positive, got {eps}")
+    return norm(space, g, cap)[0] < eps
 
 
 def _assignment_min(cost: list[list[Fraction]]) -> tuple[Fraction, list[int]]:

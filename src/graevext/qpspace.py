@@ -189,12 +189,13 @@ class QPSpace:
 
 
 def read_json(path):
-    """Parse a UTF-8 JSON file; bytes that are not UTF-8 and malformed
-    JSON both raise ``FormatError``."""
+    """Parse a UTF-8 JSON file; bytes that are not UTF-8, malformed JSON,
+    integers past Python's digit limit and nesting past the recursion
+    limit all raise ``FormatError``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -202,10 +203,12 @@ def load_space(path) -> QPSpace:
     return QPSpace.from_json_dict(read_json(path))
 
 
-def _point_of(space: QPSpace, letter: Letter) -> str:
-    if letter.gen not in space.index:
-        raise DomainError(f"unknown generator {letter.gen!r}")
-    return letter.gen
+def check_generators(space: QPSpace, gens) -> None:
+    """Raise ``DomainError`` for the first generator symbol that is not a
+    point of the space; None, the neutral letter's generator, passes."""
+    for gen in gens:
+        if gen is not None and gen not in space.index:
+            raise DomainError(f"unknown generator {gen!r}")
 
 
 def neutral_extension(space: QPSpace, p: Letter, q: Letter) -> Fraction:
@@ -216,18 +219,15 @@ def neutral_extension(space: QPSpace, p: Letter, q: Letter) -> Fraction:
     valid and bounded by 1 for the result to be a quasi-pseudometric.
     """
     for letter in (p, q):
-        if not letter.is_neutral and letter.sign < 0:
+        if letter.sign < 0:
             raise DomainError(
                 f"inverse letter {letter} is outside the stage-one domain")
+    check_generators(space, (p.gen, q.gen))
     if p == q:
         return Fraction(0)
-    if not p.is_neutral and not q.is_neutral:
-        return space.d(_point_of(space, p), _point_of(space, q))
-    if not p.is_neutral:
-        _point_of(space, p)
-    if not q.is_neutral:
-        _point_of(space, q)
-    return ONE
+    if p.is_neutral or q.is_neutral:
+        return ONE
+    return space.d(p.gen, q.gen)
 
 
 def signed_extension(space: QPSpace, p: Letter, q: Letter) -> Fraction:
@@ -239,16 +239,11 @@ def signed_extension(space: QPSpace, p: Letter, q: Letter) -> Fraction:
     remaining mixed pair costs 2.  The overlapping case (both letters
     neutral) agrees across branches.
     """
+    check_generators(space, (p.gen, q.gen))
     if p == q:
-        if not p.is_neutral:
-            _point_of(space, p)
         return Fraction(0)
     if p.sign >= 0 and q.sign >= 0:
         return neutral_extension(space, p, q)
     if p.sign <= 0 and q.sign <= 0:
         return neutral_extension(space, q.inverse(), p.inverse())
-    if not p.is_neutral:
-        _point_of(space, p)
-    if not q.is_neutral:
-        _point_of(space, q)
     return TWO

@@ -276,6 +276,15 @@ class AbelianWord:
         return " ".join(parts)
 
 
+def _integer(digits: str) -> int:
+    """``int`` of a matched digit string; one past Python's limit on
+    digits in an integer string raises ``FormatError``."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise FormatError(f"integer of {len(digits)} digits is too long") from exc
+
+
 def _word_tokens(text: str, symbols: set[str]) -> Iterator[tuple[str | None, int]]:
     """The tokens of word syntax as (generator, exponent) pairs, with
     (None, 0) for the neutral letter; nothing is expanded."""
@@ -291,7 +300,7 @@ def _word_tokens(text: str, symbols: set[str]) -> Iterator[tuple[str | None, int
             raise FormatError("the neutral letter takes no exponent")
         if sym not in symbols:
             raise FormatError(f"unknown generator {sym!r}")
-        yield sym, 1 if exp is None else int(exp)
+        yield sym, 1 if exp is None else _integer(exp)
 
 
 def parse_word(text: str, alphabet: Collection[str]) -> Word:
@@ -342,7 +351,7 @@ def _parse_terms(text: str, symbols: set[str]) -> AbelianWord | None:
             return None
         pos = m.end()
         first = False
-        coef = 1 if coef_tok is None else int(coef_tok)
+        coef = 1 if coef_tok is None else _integer(coef_tok)
         if sign_tok == "-":
             coef = -coef
         if sym == NEUTRAL_TOKEN:

@@ -117,11 +117,23 @@ def test_missing_file(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("loader", ["space", "entourage", "sequence",
-                                    "topology"])
-def test_non_utf8_file_is_format_error(capsys, tmp_path, loader):
+# (file bytes, a word of the error message); the non-UTF-8 file keeps the
+# bare loader name as its test id
+BAD_FILES = {
+    "non-utf8": (b"\xff\xfe{\x00}\x00", "utf-8"),
+    "deep": (b"[" * 200_000, "recursion"),
+    "long-integer": (b"[" + b"9" * 5000 + b"]", "digits"),
+}
+
+
+@pytest.mark.parametrize("loader,bad", [
+    pytest.param(loader, bad, id=loader if bad == "non-utf8" else f"{loader}-{bad}")
+    for bad in BAD_FILES
+    for loader in ("space", "entourage", "sequence", "topology")])
+def test_non_utf8_file_is_format_error(capsys, tmp_path, loader, bad):
+    content, marker = BAD_FILES[bad]
     binary = tmp_path / "binary.json"
-    binary.write_bytes(b"\xff\xfe{\x00}\x00")
+    binary.write_bytes(content)
     argv = {
         "space": ["validate", "--space", str(binary)],
         "entourage": ["frink", "--chain",
@@ -131,7 +143,45 @@ def test_non_utf8_file_is_format_error(capsys, tmp_path, loader):
     }[loader]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "utf-8" in err
+    assert err.startswith("error: ") and marker in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--abelian", "--word", "a^" + "9" * 5000],
+    ["norm", "--abelian", "--word", "9" * 5000 + "a"],
+    ["norm", "--word", "a^" + "9" * 5000],
+], ids=["abelian-exponent", "abelian-coefficient", "free-exponent"])
+def test_overlong_integer_is_format_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--space", SPACE)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "digits" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["dist", "--from", "a b", "--to", "b a b a b"],
+    ["dist", "--abelian", "--from", "7a", "--to=-6b"],
+    ["member", "--eps", "100", "--word", "a b a b a b a"],
+    ["member", "--eps", "100", "--abelian", "--word", "7a - 6b"],
+], ids=["dist-free", "dist-abelian", "member-free", "member-abelian"])
+def test_default_cap_exit_code(capsys, command):
+    code, _, err = run(capsys, *command, "--space", SPACE)
+    assert code == 2 and "cap" in err
+    code, _, _ = run(capsys, *command, "--space", SPACE, "--cap", "13")
+    assert code == 0
+
+
+@pytest.mark.parametrize("kind,src,dst,difference", [
+    ([], "a b", "b^-1 a", "b^-1 a^-1 b^-1 a"),
+    (["--abelian"], "2a", "2b", "-2a + 2b"),
+], ids=["free", "abelian"])
+def test_dist_witness_is_norm_witness(capsys, kind, src, dst, difference):
+    code, dist_out, _ = run(capsys, "dist", "--space", SPACE, *kind,
+                            "--from", src, "--to", dst, "--witness")
+    assert code == 0
+    code, norm_out, _ = run(capsys, "norm", "--space", SPACE, *kind,
+                            "--word", difference, "--witness")
+    assert code == 0
+    assert dist_out == norm_out and len(dist_out.splitlines()) == 2
 
 
 def test_unknown_subcommand(capsys):

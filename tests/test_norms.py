@@ -8,7 +8,7 @@ import pytest
 from graevext import (AbelianWord, CapExceeded, DomainError, Letter, QPSpace,
                       Word, abelian_dist, abelian_norm, abelian_norm_balanced,
                       ball_member, enumerate_schemes, graev_dist, graev_norm,
-                      pairing_cost, parse_abelian, parse_word,
+                      norm, pairing_cost, parse_abelian, parse_word,
                       signed_extension)
 from graevext.norms import _assignment_min
 from .conftest import random_qpspace, random_reduced_word
@@ -395,3 +395,26 @@ def test_ball_member(two_point_space):
         ball_member(sp, Word(), F(0))
     with pytest.raises(DomainError):
         ball_member(sp, "a", F(1))
+
+
+def test_norm_dispatches_on_element_type(two_point_space):
+    sp = two_point_space
+    word = parse_word("a b^-1 a", sp.points)
+    element = parse_abelian("-2a + b", sp.points)
+    assert norm(sp, word) == graev_norm(sp, word)
+    assert norm(sp, element) == abelian_norm(sp, element)
+    with pytest.raises(DomainError):
+        norm(sp, "a b^-1")
+
+
+def test_norm_default_caps(two_point_space):
+    sp = two_point_space
+    word = parse_word("a b a b a b a", sp.points)
+    element = parse_abelian("7a - 6b", sp.points)
+    for g, length in ((word, 7), (element, 13)):
+        with pytest.raises(CapExceeded):
+            norm(sp, g)
+        with pytest.raises(CapExceeded):
+            ball_member(sp, g, F(1))
+        assert norm(sp, g, cap=length)[0] > 0
+        assert ball_member(sp, g, F(100), cap=length)

@@ -103,6 +103,8 @@ def test_neutral_extension_cases(two_point_space):
         neutral_extension(two_point_space, Letter("a", -1), b)
     with pytest.raises(DomainError):
         neutral_extension(two_point_space, Letter("z", 1), b)
+    with pytest.raises(DomainError):
+        neutral_extension(two_point_space, Letter("z", 1), Letter("z", 1))
 
 
 def test_signed_extension_cases(two_point_space):
