@@ -157,22 +157,10 @@ class QPSpace:
 
     @classmethod
     def from_json_dict(cls, obj) -> "QPSpace":
-        if not isinstance(obj, dict):
-            raise FormatError("space document must be a JSON object")
-        unknown = set(obj) - {"points", "dist", "bounded_by_one"}
-        if unknown:
-            raise FormatError(f"unknown space fields: {sorted(unknown)}")
-        if "points" not in obj or "dist" not in obj:
-            raise FormatError("space document needs 'points' and 'dist'")
-        points = obj["points"]
-        if not isinstance(points, list):
-            raise FormatError("'points' must be a list of symbols")
-        dist = obj["dist"]
-        if not isinstance(dist, list) or any(not isinstance(r, list) for r in dist):
-            raise FormatError("'dist' must be a row-major matrix")
-        rows = tuple(tuple(parse_rational(x) for x in row) for row in dist)
+        check_document(obj, "space", ("points", "dist"), ("bounded_by_one",))
+        rows = tuple(tuple(parse_rational(x) for x in row) for row in obj["dist"])
         try:
-            space = cls(tuple(points), rows)
+            space = cls(tuple(obj["points"]), rows)
         except DomainError as exc:
             raise FormatError(str(exc)) from exc
         for i in range(len(space.points)):
@@ -186,6 +174,26 @@ class QPSpace:
         if flag and not space.is_bounded_by_one():
             raise FormatError("space declares bounded_by_one but has entries > 1")
         return space
+
+
+def check_document(obj, kind: str, required, optional=()) -> None:
+    """Raise ``FormatError`` unless ``obj`` is a JSON object with every
+    required field and no field but the optional ones, its ``points`` a
+    list and every other required field a list of lists."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{kind} document must be a JSON object")
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        raise FormatError(f"unknown {kind} fields: {sorted(unknown)}")
+    if any(field not in obj for field in required):
+        raise FormatError(f"{kind} document needs fields {list(required)}")
+    if not isinstance(obj["points"], list):
+        raise FormatError("'points' must be a list of symbols")
+    for field in required:
+        rows = obj[field]
+        if field != "points" and (not isinstance(rows, list) or any(
+                not isinstance(row, list) for row in rows)):
+            raise FormatError(f"{field!r} must be a list of lists")
 
 
 def read_json(path):

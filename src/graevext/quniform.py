@@ -10,10 +10,16 @@ into an exact quasi-pseudometric whose scale-``2^-i`` balls interleave the
 chain.  ``entourage_metric`` specializes the construction to one entourage
 over the universal base relation of a finite T0 topology.
 
-``decompose_prefix`` and ``decompose_subset`` express a free abelian
-element as an alternating sum of difference pairs drawn from an entourage
-sequence, either one pair per leading entourage or pairs spread over a
-bounded set of distinct positions; both return explicit witnesses.
+``decompose_prefix`` and ``decompose_subset`` write a free abelian
+element g as -x_1+y_1-...-x_k+y_k, each pair (x_i, y_i) from another
+entourage of a sequence: the first k, or at most n distinct positions.
+One iterative depth-first search serves both.  It tries choices in
+lexicographic order of (level_1, pair_1, level_2, pair_2, ...), pairs
+sorted, and remembers failed (level, picks left, remainder) states, so
+its first hit is the least witness.  As every entourage is reflexive, a
+pair (x, x) pads a decomposition by one level and success is monotone
+in the bound: a miss at the bound is final, and after a hit the search
+climbs from the smallest bound to the first hit.
 
 File formats (JSON): an entourage file mirrors the space file, with
 ``points`` and a 0/1 ``relation`` matrix (reflexivity is validated, never
@@ -32,7 +38,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError
-from .qpspace import QPSpace, read_json
+from .qpspace import QPSpace, check_document, check_generators, read_json
 from .words import AbelianWord, validate_symbols
 
 
@@ -127,16 +133,8 @@ class Entourage:
 
     @classmethod
     def from_json_dict(cls, obj) -> "Entourage":
-        if not isinstance(obj, dict):
-            raise FormatError("entourage document must be a JSON object")
-        unknown = set(obj) - {"points", "relation"}
-        if unknown:
-            raise FormatError(f"unknown entourage fields: {sorted(unknown)}")
-        if "points" not in obj or "relation" not in obj:
-            raise FormatError("entourage document needs 'points' and 'relation'")
+        check_document(obj, "entourage", ("points", "relation"))
         rows = obj["relation"]
-        if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-            raise FormatError("'relation' must be a row-major 0/1 matrix")
         for row in rows:
             for x in row:
                 if x not in (0, 1):
@@ -318,15 +316,9 @@ class FiniteSpace:
 
     @classmethod
     def from_json_dict(cls, obj) -> "FiniteSpace":
-        if not isinstance(obj, dict):
-            raise FormatError("topology document must be a JSON object")
-        unknown = set(obj) - {"points", "opens"}
-        if unknown:
-            raise FormatError(f"unknown topology fields: {sorted(unknown)}")
-        if "points" not in obj or "opens" not in obj:
-            raise FormatError("topology document needs 'points' and 'opens'")
+        check_document(obj, "topology", ("points", "opens"))
         opens = obj["opens"]
-        if not isinstance(opens, list) or any(not isinstance(o, list) for o in opens):
+        if any(not isinstance(p, str) for o in opens for p in o):
             raise FormatError("'opens' must be a list of point lists")
         try:
             return cls(tuple(obj["points"]),
@@ -400,86 +392,86 @@ class SubsetDecomposition:
         return f"positions=[{pos}] pairs=[{body}]"
 
 
-def _pair_delta(x: str, y: str) -> AbelianWord:
-    return AbelianWord.from_mapping({x: -1}) + AbelianWord.from_mapping({y: 1})
+def _moves(levels, state):
+    """Moves from (level, picks left, remainder): ([(level, (x, y))], child)
+    per pair in order, remainder less -x + y, then ([], child) for a skip."""
+    level, left, rest = state
+    for x, y in levels[level]:
+        counts = dict(rest.terms)
+        counts[x] = counts.get(x, 0) + 1
+        counts[y] = counts.get(y, 0) - 1
+        yield ([(level, (x, y))],
+               (level + 1, left - 1, AbelianWord.from_mapping(counts)))
+    yield [], (level + 1, left, rest)
 
 
-def _first_choice(g: AbelianWord, levels: list[list[tuple[str, str]]]
-                  ) -> tuple[tuple[str, str], ...] | None:
-    """First choice of one pair (x_i, y_i) from each level, in level order
-    and in each level's order, with -x_1+y_1-...-x_k+y_k equal to g."""
-    dead: set[tuple[int, AbelianWord]] = set()
+def _first_choice(g: AbelianWord, levels: list[list[tuple[str, str]]],
+                  picks: int) -> tuple[tuple[int, tuple[str, str]], ...] | None:
+    """The least choice of ``picks`` levels with one pair each that sums
+    to g, as (level, pair) tuples in lexicographic order; None if none."""
+    dead: set[tuple[int, int, AbelianWord]] = set()
+    chosen: list[tuple[int, tuple[str, str]]] = []
+    frames = [((0, picks, g), 0, _moves(levels, (0, picks, g)))]
+    while frames:
+        state, depth, moves = frames[-1]
+        move = next(moves, None)
+        if move is None:
+            dead.add(state)
+            frames.pop()
+            continue
+        picked, child = move
+        chosen[depth:] = picked
+        level, left, rest = child
+        if left == 0:
+            if rest.is_identity:
+                return tuple(chosen)
+        elif (child not in dead
+              and rest.length() <= 2 * left <= 2 * (len(levels) - level)):
+            frames.append((child, len(chosen), _moves(levels, child)))
+    return None
 
-    def search(level: int, remaining: AbelianWord, acc: list):
-        if level == len(levels):
-            return tuple(acc) if remaining.is_identity else None
-        if remaining.length() > 2 * (len(levels) - level):
-            return None
-        state = (level, remaining)
-        if state in dead:
-            return None
-        for x, y in levels[level]:
-            acc.append((x, y))
-            hit = search(level + 1, remaining - _pair_delta(x, y), acc)
-            if hit is not None:
-                return hit
-            acc.pop()
-        dead.add(state)
+
+def _decompose(g: AbelianWord, seq: EntourageSequence, bound: int,
+               name: str, low: int, search):
+    """Check the input, then return ``search(levels, b)`` at the least b in
+    low..bound where it hits, or None; a miss at ``bound`` is final."""
+    check_generators(seq[0], g.generators())
+    if not 1 <= bound <= len(seq):
+        raise DomainError(f"{name} must lie in 1..{len(seq)}, got {bound}")
+    if g.coefficient_sum() != 0:
         return None
-
-    return search(0, g, [])
-
-
-def _check_element(g: AbelianWord, points: tuple[str, ...]) -> None:
-    missing = [gen for gen in g.generators() if gen not in points]
-    if missing:
-        raise DomainError(f"element uses unknown generators: {missing}")
+    levels = [sorted(e.pairs()) for e in seq]
+    widest = search(levels, bound)
+    if widest is None:
+        return None
+    for smaller in range(low, bound):
+        hit = search(levels, smaller)
+        if hit is not None:
+            return hit
+    return widest
 
 
 def decompose_prefix(g: AbelianWord, seq: EntourageSequence,
                      k_max: int) -> PrefixDecomposition | None:
-    """Write g as -x_1+y_1-...-x_k+y_k with pair i drawn from entourage i.
-
-    Tries k = 1..k_max and returns the first (lexicographically least)
-    witness found, or None when no decomposition exists within the bound.
-    None is not a proof of non-membership for longer prefixes, except
-    that an element with nonzero coefficient sum can never decompose.
-    """
-    _check_element(g, seq.points)
-    if not 1 <= k_max <= len(seq):
-        raise DomainError(
-            f"k_max must lie in 1..{len(seq)}, got {k_max}")
-    if g.coefficient_sum() != 0:
+    """Write g with pair i drawn from entourage i for i = 1..k, at the
+    least k <= k_max; None when there is none within the bound, which
+    proves nothing for longer prefixes unless g's coefficient sum is
+    nonzero."""
+    found = _decompose(g, seq, k_max, "k_max", 1,
+                       lambda levels, k: _first_choice(g, levels[:k], k))
+    if found is None:
         return None
-    sorted_pairs = [sorted(e.pairs()) for e in seq]
-    for k in range(1, k_max + 1):
-        found = _first_choice(g, sorted_pairs[:k])
-        if found is not None:
-            return PrefixDecomposition(k, found)
-    return None
+    return PrefixDecomposition(len(found), tuple(pair for _, pair in found))
 
 
 def decompose_subset(g: AbelianWord, seq: EntourageSequence,
                      n: int) -> SubsetDecomposition | None:
-    """Write g as at most n difference pairs over distinct positions.
-
-    Searches subset sizes 0..n and, per size, position subsets in
-    lexicographic order with one pair per chosen entourage; returns the
-    first witness or None.  The search is exhaustive for the given
-    sequence, so None means g genuinely has no such decomposition here.
-    """
-    _check_element(g, seq.points)
-    if not 1 <= n <= len(seq):
-        raise DomainError(f"n must lie in 1..{len(seq)}, got {n}")
-    if g.coefficient_sum() != 0:
+    """Write g with the fewest pairs, at most n, over distinct positions
+    (1-based in the result); None means g has no such decomposition in
+    this sequence."""
+    found = _decompose(g, seq, n, "n", 0,
+                       lambda levels, size: _first_choice(g, levels, size))
+    if found is None:
         return None
-    if g.is_identity:
-        return SubsetDecomposition((), ())
-    sorted_pairs = [sorted(e.pairs()) for e in seq]
-    for size in range(1, n + 1):
-        for positions in combinations(range(len(seq)), size):
-            found = _first_choice(g, [sorted_pairs[p] for p in positions])
-            if found is not None:
-                return SubsetDecomposition(
-                    tuple(p + 1 for p in positions), found)
-    return None
+    return SubsetDecomposition(tuple(level + 1 for level, _ in found),
+                               tuple(pair for _, pair in found))

@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's optimized code paths: reduction is
 a rescan-until-fixpoint loop instead of a stack pass, pairings come from
-unfiltered enumeration, and the free-group norm enumerates candidate
-words and pairings outright.  The former exhaustive free-norm walk is
-kept here too, as a second free-norm oracle.  Slow, simple, and only for
-tests.
+unfiltered enumeration, the free-group norm enumerates candidate words
+and pairings outright, and decompositions over entourage sequences try
+every choice of levels and pairs.  The former exhaustive free-norm walk
+is kept here too, as a second free-norm oracle.  Slow, simple, and only
+for tests.
 """
 
 import itertools
@@ -130,6 +131,42 @@ def compose_by_matrix(u, v):
     n = len(u.points)
     return [[any(u.relation[i][k] and v.relation[k][j] for k in range(n))
              for j in range(n)] for i in range(n)]
+
+
+def brute_decompose(g, seq, bound: int, subset: bool):
+    """Least decomposition of the abelian element g by full enumeration.
+
+    With ``subset`` false: ``(k, pairs)`` for the least k <= bound with
+    pair i from entourage i, pairs least in lexicographic order.  With
+    ``subset`` true: ``(positions, pairs)`` over the fewest distinct
+    1-based positions, at most ``bound``, least in the order of
+    (position_1, pair_1, position_2, pair_2, ...).  None if there is none.
+    """
+    target = dict(g.terms)
+    for size in range(0 if subset else 1, bound + 1):
+        choices = (itertools.combinations(range(len(seq)), size) if subset
+                   else [tuple(range(size))])
+        hits = []
+        for positions in choices:
+            relations = [[(seq.points[i], seq.points[j])
+                          for i, row in enumerate(seq[p].relation)
+                          for j, related in enumerate(row) if related]
+                         for p in positions]
+            for pairs in itertools.product(*relations):
+                counts = dict.fromkeys(seq.points, 0)
+                for x, y in pairs:
+                    counts[x] -= 1
+                    counts[y] += 1
+                if {gen: m for gen, m in counts.items() if m} == target:
+                    hits.append(tuple(zip(positions, pairs)))
+        if hits:
+            best = min(hits)
+            pairs = tuple(pair for _, pair in best)
+            if subset:
+                return tuple(p + 1 for p, _ in best), pairs
+            return size, pairs
+    return None
+
 
 # ---- the exhaustive free-norm walk ------------------------------------------
 #

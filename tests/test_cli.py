@@ -126,12 +126,25 @@ BAD_FILES = {
 }
 
 
+# per loader, a JSON document of the wrong shape and a word of its error
+BAD_DOCUMENTS = {
+    "space": ({"points": "ab", "dist": [[0, 1], [1, 0]]}, "points"),
+    "entourage": ({"points": 5, "relation": [[1]]}, "points"),
+    "sequence": ({"points": ["a"]}, "array"),
+    "topology": ({"points": ["a"], "opens": [[], ["a"], [["a"]]]}, "opens"),
+}
+
+
 @pytest.mark.parametrize("loader,bad", [
     pytest.param(loader, bad, id=loader if bad == "non-utf8" else f"{loader}-{bad}")
-    for bad in BAD_FILES
+    for bad in [*BAD_FILES, "document"]
     for loader in ("space", "entourage", "sequence", "topology")])
 def test_non_utf8_file_is_format_error(capsys, tmp_path, loader, bad):
-    content, marker = BAD_FILES[bad]
+    if bad == "document":
+        doc, marker = BAD_DOCUMENTS[loader]
+        content = json.dumps(doc).encode()
+    else:
+        content, marker = BAD_FILES[bad]
     binary = tmp_path / "binary.json"
     binary.write_bytes(content)
     argv = {
@@ -276,6 +289,19 @@ def test_wmember(capsys, tmp_path):
     code, out, _ = run(capsys, "wmember", "--word", "-2x + 2y",
                        "--seq", str(chain), "--n", "2")
     assert (code, out) == (0, "not-member\n")
+
+
+@pytest.mark.parametrize("bound,expected", [
+    (["--kmax", "1500"], "not-found-within-bound\n"),
+    (["--n", "2"], "not-member\n"),
+    (["--n", "1500"], "not-member\n"),
+], ids=["kmax-1500", "n-2", "n-1500"])
+def test_wmember_long_sequence(capsys, tmp_path, bound, expected):
+    _write_entourage(tmp_path / "diag.json", ("x", "y"), [])
+    chain = _write_chain(tmp_path, "seq.json", ["diag.json"] * 1500)
+    code, out, err = run(capsys, "wmember", "--word", "-x + y",
+                         "--seq", str(chain), *bound)
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_output_values_reparse(capsys):

@@ -1,11 +1,13 @@
 """Deterministic fuzzing of the CLI's exit-code contract.
 
 Whatever the files and arguments, ``main`` returns 0, 1 or 2 and raises
-nothing.  The inputs come from one seeded ``random.Random``: random bytes,
-truncated and mangled JSON, deep nesting, integers past Python's digit
-limit, huge abelian exponents, and zero, negative or malformed caps and
-radii.  Free words keep small exponents, because ``parse_word`` expands
-``sym^k`` letter by letter before any cap is checked.
+nothing.  The inputs come from one seeded ``random.Random`` per test:
+random bytes, truncated and mangled JSON, deep nesting, integers past
+Python's digit limit, huge abelian exponents, and zero, negative or
+malformed caps, radii, bounds and indices.  Free words keep small
+exponents, because ``parse_word`` expands ``sym^k`` letter by letter
+before any cap is checked.  Long sequences name only the diagonal: a miss
+over a long sequence of entourages with more pairs still takes seconds.
 """
 
 import json
@@ -15,6 +17,8 @@ from graevext.cli import main
 
 SEED = 8
 CALLS = 250
+CHAIN_SEED = 9
+CHAIN_CALLS = 120
 LONG = "9" * 5000
 POINTS = ["a", "b", "c"]
 
@@ -42,6 +46,11 @@ def _valid_doc(rng, kind):
         dist = [["0" if i == j else f"{rng.randint(6, 12)}/12"
                  for j in range(n)] for i in range(n)]
         return {"points": POINTS, "dist": dist}
+    if kind == "topology":
+        order = rng.sample(POINTS, n)
+        return {"points": POINTS,
+                "opens": [order[:k] for k in range(n + 1)] + rng.choice(
+                    [[], [[order[1]]], [order[:1] + order[2:]]])}
     relation = [[1 if i == j or rng.random() < 0.4 else 0 for j in range(n)]
                 for i in range(n)]
     return {"points": POINTS, "relation": relation}
@@ -131,6 +140,62 @@ def _argv(rng, tmp_path, i):
     return argv
 
 
+def _doc_bytes(rng, kind):
+    """A valid document, one with a field of the wrong JSON type, or the
+    output of ``_file_bytes``."""
+    doc = _valid_doc(rng, kind)
+    roll = rng.random()
+    if roll < 0.2:
+        doc[rng.choice(list(doc))] = rng.choice(
+            [5, "abc", None, [["a"]], [[], [["a"]]], [["a", 1]]])
+    elif roll < 0.4:
+        return _file_bytes(rng, kind)
+    return json.dumps(doc).encode()
+
+
+def _chain_argv(rng, tmp_path, i):
+    """``frink``, ``lemma5`` and ``ubase`` on short files, or ``wmember``
+    on the diagonal named up to 300 times."""
+    command = rng.choice(["frink", "lemma5", "ubase", "wmember"])
+    if command == "ubase":
+        topology = tmp_path / f"t{i}.json"
+        topology.write_bytes(_doc_bytes(rng, "topology"))
+        return ["ubase", "--topology", str(topology)]
+    if command == "wmember":
+        diagonal = tmp_path / "diagonal.json"
+        diagonal.write_text(json.dumps({"points": POINTS, "relation": [
+            [int(a == b) for b in range(len(POINTS))] for a in range(len(POINTS))]}))
+        length = rng.randint(1, 300)
+        seq = tmp_path / f"seq{i}.json"
+        seq.write_text(json.dumps([diagonal.name] * length))
+        x, y = rng.choice(POINTS), rng.choice(POINTS)
+        word = rng.choice([_word(rng, True), f"-{x} + {y}", f"-2{x} + {y} + {y}"])
+        return ["wmember", f"--word={word}", "--seq", str(seq),
+                rng.choice(["--n", "--kmax"]),
+                rng.choice(["1", "2", "3", str(length)])]
+    files = []
+    for j in range(rng.randint(1, 3)):
+        entourage = tmp_path / f"c{i}_{j}.json"
+        if rng.random() < 0.6:
+            # the full relation at the head and the diagonal below it
+            # make a tripling chain
+            entourage.write_text(json.dumps({"points": POINTS, "relation": [
+                [int(j == 0 or a == b) for b in range(len(POINTS))]
+                for a in range(len(POINTS))]}))
+        else:
+            entourage.write_bytes(_doc_bytes(rng, "entourage"))
+        files.append(entourage.name)
+    chain = tmp_path / f"chain{i}.json"
+    chain.write_bytes(rng.choice([json.dumps(files).encode()] * 4 + [
+        json.dumps(_random_json(rng)).encode(), b"[" * 200_000]))
+    if command == "frink":
+        return ["frink", "--chain", str(chain)]
+    return ["lemma5", "--chain", str(chain),
+            "--k", rng.choice(["0", "0", "1", _number(rng)]),
+            "--ks", rng.choice(["1", "2", "1,2", "2,2", "2,1,1", "", ",", "a",
+                                LONG, _number(rng)])]
+
+
 def test_cli_exit_codes_on_random_input(capsys, tmp_path):
     rng = random.Random(SEED)
     codes = []
@@ -141,3 +206,15 @@ def test_cli_exit_codes_on_random_input(capsys, tmp_path):
         codes.append(code)
     capsys.readouterr()
     assert set(codes) == {0, 1, 2}
+
+
+def test_chain_commands_exit_codes_on_random_input(capsys, tmp_path):
+    rng = random.Random(CHAIN_SEED)
+    codes = []
+    for i in range(CHAIN_CALLS):
+        argv = _chain_argv(rng, tmp_path, i)
+        code = main(argv)
+        assert code in (0, 1), argv
+        codes.append(code)
+    capsys.readouterr()
+    assert set(codes) == {0, 1}

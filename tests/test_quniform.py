@@ -1,16 +1,20 @@
+import inspect
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from graevext import (DomainError, Entourage, EntourageSequence, FiniteSpace,
-                      abelian_norm, compose,
+from graevext import (AbelianWord, DomainError, Entourage, EntourageSequence,
+                      FiniteSpace, FormatError, abelian_norm, compose,
                       composition_contained, decompose_prefix,
                       decompose_subset, entourage_metric, frink_metric,
-                      parse_abelian, universal_base)
+                      load_entourage, load_topology, parse_abelian,
+                      universal_base)
 from .conftest import (random_entourage, random_qpspace,
                        random_tripling_chain)
-from .oracles import compose_by_matrix
+from .oracles import brute_decompose, compose_by_matrix
 
 F = Fraction
 PTS = ("x", "y", "z")
@@ -198,6 +202,25 @@ def test_finite_space_validation():
     assert space.is_t0()
 
 
+@pytest.mark.parametrize("load,doc", [
+    (load_entourage, {"points": 5, "relation": [[1]]}),
+    (load_entourage, {"points": "xy", "relation": [[1, 0], [0, 1]]}),
+    (load_entourage, {"points": ["x"], "relation": [1]}),
+    (load_entourage, {"points": ["x"]}),
+    (load_topology, {"points": 7, "opens": []}),
+    (load_topology, {"points": "xy", "opens": [[], ["x", "y"]]}),
+    (load_topology, {"points": ["a"], "opens": [[], ["a"], [["a"]]]}),
+    (load_topology, {"points": ["a"], "opens": [[], ["a", 1]]}),
+    (load_topology, {"points": ["a"], "opens": [[], ["a"]], "base": []}),
+    (load_topology, ["a"]),
+])
+def test_document_shape_is_format_error(tmp_path, load, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        load(path)
+
+
 def test_universal_base_discrete():
     pts = ("x", "y")
     discrete = FiniteSpace(pts, (frozenset(), frozenset({"x"}),
@@ -344,6 +367,13 @@ def test_decompose_subset_examples():
     assert hit is not None
     assert hit.positions == (1, 3)
     assert hit.pairs == (("x", "y"), ("x", "y"))
+    # a tie between orders: positions (1, 2) with pairs ((y,z), (x,y)) also
+    # work, but (1, (x,y), 3, (y,z)) comes first in (position, pair) order
+    tie = EntourageSequence((Entourage.from_pairs(PTS, [("x", "y"), ("y", "z")]),
+                             Entourage.from_pairs(PTS, [("x", "y")]),
+                             Entourage.from_pairs(PTS, [("y", "z")])))
+    hit = decompose_subset(parse_abelian("-x + z", PTS), tie, 2)
+    assert (hit.positions, hit.pairs) == ((1, 3), (("x", "y"), ("y", "z")))
 
 
 def test_decompose_subset_length_bound():
@@ -387,6 +417,61 @@ def test_decompose_witnesses_reevaluate():
                 assert len(set(witness.positions)) == len(witness.positions)
                 for pos, (x, y) in zip(witness.positions, witness.pairs):
                     assert (x, y) in seq[pos - 1]
+
+
+def test_decompose_against_brute_force():
+    rng = random.Random(163)
+    outcomes = set()
+    for _ in range(400):
+        pts = ("p", "q", "r")[:rng.randint(2, 3)]
+        seq = EntourageSequence(tuple(
+            random_entourage(rng, pts, rng.choice([0.15, 0.3, 0.5]))
+            for _ in range(rng.randint(1, 4))))
+        mapping = {}
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(pts), rng.choice(pts)
+            mapping[a] = mapping.get(a, 0) - 1
+            mapping[b] = mapping.get(b, 0) + 1
+        if rng.random() < 0.1:
+            mapping[pts[0]] = mapping.get(pts[0], 0) + 1
+        g = AbelianWord.from_mapping(mapping)
+        bound = rng.randint(1, len(seq))
+        prefix = decompose_prefix(g, seq, bound)
+        expected = brute_decompose(g, seq, bound, subset=False)
+        assert (None if prefix is None else (prefix.k, prefix.pairs)) == expected
+        subset = decompose_subset(g, seq, bound)
+        expected = brute_decompose(g, seq, bound, subset=True)
+        assert (None if subset is None
+                else (subset.positions, subset.pairs)) == expected
+        outcomes.add((prefix is None, subset is None,
+                      subset is not None and subset.positions
+                      != tuple(range(1, len(subset.positions) + 1))))
+    # hits and misses of both kinds, and subset witnesses that skip a level
+    assert {(False, False, False), (False, False, True), (True, False, True),
+            (True, True, False)} <= outcomes
+
+
+def test_long_sequences_need_no_recursion():
+    pts = ("x", "y")
+    seq = EntourageSequence((Entourage.diagonal(pts),) * 299
+                            + (Entourage.from_pairs(pts, [("x", "y")]),))
+    miss, hit = parse_abelian("-y + x", pts), parse_abelian("-x + y", pts)
+    zero = parse_abelian("0", pts)
+    # 25 frames above the caller: enough for the calls themselves, far
+    # less than a recursion over 300 levels needs
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 25)
+    try:
+        results = [decompose_prefix(miss, seq, 300),
+                   decompose_subset(miss, seq, 2),
+                   decompose_subset(miss, seq, 300),
+                   decompose_prefix(zero, seq, 300),
+                   decompose_subset(hit, seq, 300)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert results[:3] == [None, None, None]
+    assert results[3].k == 1 and results[3].pairs == (("x", "x"),)
+    assert results[4].positions == (300,) and results[4].pairs == (("x", "y"),)
 
 
 def test_wp_members_fall_in_norm_balls():
