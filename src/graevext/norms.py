@@ -4,17 +4,19 @@ Free group.  Let g = g_1 ... g_n be reduced, rho the extension of d to
 the signed alphabet (``signed_extension``; a quasi-pseudometric when d is
 valid and bounded by 1), and let an arc between letters u and v cost
 
-    delta(u, v) = (rho(u^-1, v) + rho(v^-1, u)) / 2,
+    delta(u, v) = (rho(u^-1, v) + rho(v^-1, u)) / 2
 
-so delta is symmetric, delta(u, u^-1) = 0 and delta(u, e) = 1 for every
-non-neutral u.  The norm of g is the least cost of a non-crossing partial
-matching of the positions 1..n, where a matched pair (i, k) pays
-delta(g_i, g_k) and an unmatched position pays delta(g_i, e).  An
-interval DP over the segments of g finds it in O(n^3) time and O(n^2)
-space: the first letter of a segment either takes a neutral letter or
-pairs with a later letter k, which splits off the inside and the outside
-of the arc as two independent segments.  Costs are integers over one
-common denominator, and the table is filled bottom-up without recursion.
+(``schemes.arc_cost``, the one definition of delta, which the DP and
+``pairing_cost`` both use), so delta is symmetric, delta(u, u^-1) = 0
+and delta(u, e) = 1 for every non-neutral u.  The norm of g is the least
+cost of a non-crossing partial matching of the positions 1..n, where a
+matched pair (i, k) pays delta(g_i, g_k) and an unmatched position pays
+delta(g_i, e).  An interval DP over the segments of g finds it in O(n^3)
+time and O(n^2) space: the first letter of a segment either takes a
+neutral letter or pairs with a later letter k, which splits off the
+inside and the outside of the arc as two independent segments.  Costs
+are integers over one common denominator, and the table is filled
+bottom-up without recursion.
 
 Why this is the Graev-type norm (the minimum of ``pairing_cost`` over
 the almost irreducible words of length at most 2n over the letters of g,
@@ -95,8 +97,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, DomainError
-from .qpspace import QPSpace, check_generators, signed_extension
-from .schemes import Scheme, pairing_cost
+from .qpspace import QPSpace, check_generators
+from .schemes import Scheme, arc_cost, pairing_cost
 from .words import AbelianWord, Letter, Word
 
 DEFAULT_FREE_CAP = 6
@@ -168,8 +170,7 @@ def _interval_dp(space: QPSpace,
     n = len(letters)
     neutral = Letter.neutral()
     kinds = set(letters)
-    delta = {(u, v): (signed_extension(space, u.inverse(), v)
-                      + signed_extension(space, v.inverse(), u)) / 2
+    delta = {(u, v): arc_cost(space, u, v)
              for u in kinds for v in kinds | {neutral}}
     scale = math.lcm(*(x.denominator for x in delta.values()))
     arc = [[int(delta[u, v] * scale) for v in letters] for u in letters]
@@ -251,23 +252,21 @@ def _abelian_match(space: QPSpace,
                    h: AbelianWord) -> tuple[Fraction, PairingWitness]:
     """Assign the shorter sign class of h into the longer one; each excess
     letter pays 1.  Value and witness order as in the module docstring."""
-    sources: list[str] = []
-    targets: list[str] = []
-    for gen, m in h.terms:
-        (targets if m > 0 else sources).extend([gen] * abs(m))
+    letters = h.letters()
+    sources = [l for l in letters if l.sign < 0]
+    targets = [l for l in letters if l.sign > 0]
     if len(sources) <= len(targets):
         value, match = _assignment_min(
-            [[space.d(x, y) for y in targets] for x in sources])
+            [[space.d(x.gen, y.gen) for y in targets] for x in sources])
         partner = dict(enumerate(match))
     else:
         value, match = _assignment_min(
-            [[space.d(x, y) for x in sources] for y in targets])
+            [[space.d(x.gen, y.gen) for x in sources] for y in targets])
         partner = {i: j for j, i in enumerate(match)}
-    pairs = [(Letter(sources[i], 1), Letter(targets[partner[i]], 1))
-             for i in sorted(partner)]
+    pairs = [(sources[i].inverse(), targets[partner[i]]) for i in sorted(partner)]
     taken = set(partner.values())
-    excess = ([Letter(x, -1) for i, x in enumerate(sources) if i not in partner]
-              + [Letter(y, 1) for j, y in enumerate(targets) if j not in taken])
+    excess = ([x for i, x in enumerate(sources) if i not in partner]
+              + [y for j, y in enumerate(targets) if j not in taken])
     value += len(excess)
     if len(excess) % 2:
         excess.append(Letter.neutral())

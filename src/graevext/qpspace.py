@@ -17,6 +17,7 @@ the matrix must be square with an explicit zero diagonal.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,15 +26,18 @@ from .words import Letter, validate_symbols
 
 ONE = Fraction(1)
 TWO = Fraction(2)
+# a sign is matched only so that a negative value gets its own message
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(value) -> Fraction:
-    """Parse a non-negative rational from an int or a ``p/q`` string."""
+    """Parse a non-negative rational from an int or a string of ASCII
+    digits, optionally ``p/q``, with whitespace around it allowed."""
     if isinstance(value, bool):
         raise FormatError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
         out = Fraction(value)
-    elif isinstance(value, str):
+    elif isinstance(value, str) and _RATIONAL_RE.fullmatch(value.strip()):
         try:
             out = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -220,7 +224,8 @@ def check_generators(space: QPSpace, gens) -> None:
 
 
 def neutral_extension(space: QPSpace, p: Letter, q: Letter) -> Fraction:
-    """Stage-one extension to the points plus the neutral letter.
+    """Stage-one extension, the restriction of ``signed_extension`` to the
+    points plus the neutral letter.
 
     Zero on the diagonal, the original distance between points, and 1
     whenever the neutral letter is involved.  Requires the space to be
@@ -230,28 +235,25 @@ def neutral_extension(space: QPSpace, p: Letter, q: Letter) -> Fraction:
         if letter.sign < 0:
             raise DomainError(
                 f"inverse letter {letter} is outside the stage-one domain")
-    check_generators(space, (p.gen, q.gen))
-    if p == q:
-        return Fraction(0)
-    if p.is_neutral or q.is_neutral:
-        return ONE
-    return space.d(p.gen, q.gen)
+    return signed_extension(space, p, q)
 
 
 def signed_extension(space: QPSpace, p: Letter, q: Letter) -> Fraction:
     """Stage-two extension to the full signed alphabet.
 
-    Cases, tested in order: equal letters cost 0; two non-inverse letters
-    fall through to the stage-one extension; two inverse-or-neutral
-    letters cost the stage-one distance of the swapped inverses; every
-    remaining mixed pair costs 2.  The overlapping case (both letters
-    neutral) agrees across branches.
+    Cases, tested in order: equal letters cost 0; a point against an
+    inverse letter costs 2; two inverse-or-neutral letters are swapped
+    for their inverses, in reverse order.  What is left is a pair of
+    points or neutral letters, at the stage-one distance: 1 if the
+    neutral letter is involved, and d otherwise.
     """
     check_generators(space, (p.gen, q.gen))
     if p == q:
         return Fraction(0)
-    if p.sign >= 0 and q.sign >= 0:
-        return neutral_extension(space, p, q)
+    if p.sign * q.sign < 0:
+        return TWO
     if p.sign <= 0 and q.sign <= 0:
-        return neutral_extension(space, q.inverse(), p.inverse())
-    return TWO
+        p, q = q.inverse(), p.inverse()
+    if p.is_neutral or q.is_neutral:
+        return ONE
+    return space.d(p.gen, q.gen)

@@ -18,8 +18,8 @@ lexicographic order of (level_1, pair_1, level_2, pair_2, ...), pairs
 sorted, and remembers failed (level, picks left, remainder) states, so
 its first hit is the least witness.  As every entourage is reflexive, a
 pair (x, x) pads a decomposition by one level and success is monotone
-in the bound: a miss at the bound is final, and after a hit the search
-climbs from the smallest bound to the first hit.
+in the bound: a miss at the bound is final, and after a hit a galloping
+search from the smallest bound finds the least bound that hits.
 
 File formats (JSON): an entourage file mirrors the space file, with
 ``points`` and a 0/1 ``relation`` matrix (reflexivity is validated, never
@@ -397,11 +397,8 @@ def _moves(levels, state):
     per pair in order, remainder less -x + y, then ([], child) for a skip."""
     level, left, rest = state
     for x, y in levels[level]:
-        counts = dict(rest.terms)
-        counts[x] = counts.get(x, 0) + 1
-        counts[y] = counts.get(y, 0) - 1
-        yield ([(level, (x, y))],
-               (level + 1, left - 1, AbelianWord.from_mapping(counts)))
+        less = AbelianWord.from_terms(rest.terms + ((x, 1), (y, -1)))
+        yield [(level, (x, y))], (level + 1, left - 1, less)
     yield [], (level + 1, left, rest)
 
 
@@ -441,14 +438,18 @@ def _decompose(g: AbelianWord, seq: EntourageSequence, bound: int,
     if g.coefficient_sum() != 0:
         return None
     levels = [sorted(e.pairs()) for e in seq]
-    widest = search(levels, bound)
-    if widest is None:
+    found = search(levels, bound)
+    if found is None:
         return None
-    for smaller in range(low, bound):
-        hit = search(levels, smaller)
-        if hit is not None:
-            return hit
-    return widest
+    step = 1
+    while low < bound:
+        probe = min(low + step, bound) - 1
+        hit = search(levels, probe)
+        if hit is None:
+            low, step = probe + 1, 2 * step
+        else:
+            bound, found, step = probe, hit, 1
+    return found
 
 
 def decompose_prefix(g: AbelianWord, seq: EntourageSequence,

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .errors import CapExceeded, DomainError
 from .qpspace import QPSpace, signed_extension
-from .words import Word
+from .words import Letter, Word
 
 DEFAULT_SCHEME_CAP = 10
 
@@ -86,12 +86,13 @@ def is_scheme(pairs: Iterable[tuple[int, int]]) -> bool:
     return _pairing_problem(normalized) is None
 
 
-def enumerate_schemes(n: int, cap: int = DEFAULT_SCHEME_CAP) -> Iterator[Scheme]:
+def enumerate_schemes(n: int) -> Iterator[Scheme]:
     """Yield every scheme on {1..2n} exactly once, lexicographically."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds the scheme enumeration cap {cap}")
+    if n > DEFAULT_SCHEME_CAP:
+        raise CapExceeded(f"n = {n} exceeds the scheme enumeration cap "
+                          f"{DEFAULT_SCHEME_CAP}")
     for pairs in _segment_schemes(1, 2 * n):
         yield Scheme(pairs)
 
@@ -106,17 +107,18 @@ def _segment_schemes(lo: int, hi: int) -> Iterator[tuple[tuple[int, int], ...]]:
                 yield ((lo, partner),) + inside + outside
 
 
-def pairing_cost(space: QPSpace, word: Word, scheme: Scheme) -> Fraction:
-    """Half-sum over all positions i of the signed-alphabet distance from
-    the inverse of letter i to the letter at i's partner.
+def arc_cost(space: QPSpace, u: Letter, v: Letter) -> Fraction:
+    """delta(u, v) = (rho(u^-1, v) + rho(v^-1, u)) / 2, the cost of pairing
+    the letters u and v; the one place delta is written."""
+    return (signed_extension(space, u.inverse(), v)
+            + signed_extension(space, v.inverse(), u)) / 2
 
-    Each pair contributes both orientations before the half factor, so a
-    matched mutually inverse pair costs 0.
-    """
+
+def pairing_cost(space: QPSpace, word: Word, scheme: Scheme) -> Fraction:
+    """Sum of ``arc_cost`` over the letter pairs the scheme matches, so a
+    matched mutually inverse pair costs 0."""
     if len(word) != scheme.size:
         raise DomainError(
             f"word length {len(word)} does not match scheme size {scheme.size}")
-    total = Fraction(0)
-    for i, letter in enumerate(word, start=1):
-        total += signed_extension(space, letter.inverse(), word[scheme.partner(i) - 1])
-    return total / 2
+    return sum((arc_cost(space, word[a - 1], word[b - 1]) for a, b in scheme.pairs),
+               Fraction(0))

@@ -75,8 +75,6 @@ class Letter:
         return self.gen is None
 
     def inverse(self) -> "Letter":
-        if self.gen is None:
-            return self
         return Letter(self.gen, -self.sign)
 
     def token(self) -> str:
@@ -129,12 +127,7 @@ class Word:
         return Word(tuple(stack))
 
     def is_reduced(self) -> bool:
-        if any(l.is_neutral for l in self.letters):
-            return False
-        return all(
-            self.letters[i + 1] != self.letters[i].inverse()
-            for i in range(len(self.letters) - 1)
-        )
+        return self.reduce() == self
 
     def is_almost_irreducible(self) -> bool:
         """No directly adjacent pair u, u^-1 of non-neutral letters.
@@ -163,18 +156,20 @@ class Word:
         return tuple(terms)
 
     def abelianize(self) -> "AbelianWord":
-        counts: dict[str, int] = {}
-        for letter in self.letters:
-            if letter.is_neutral:
-                continue
-            counts[letter.gen] = counts.get(letter.gen, 0) + letter.sign
-        return AbelianWord.from_mapping(counts)
+        return AbelianWord.from_terms((l.gen, l.sign) for l in self.letters
+                                      if not l.is_neutral)
 
     def tokens(self) -> list[str]:
         return [l.token() for l in self.letters]
 
     def __str__(self) -> str:
         return " ".join(self.tokens()) if self.letters else NEUTRAL_TOKEN
+
+
+def _run(gen: str, k: int) -> list[Letter]:
+    """The letters of ``gen^k``: |k| references to one letter, whose sign
+    is that of k."""
+    return [Letter(gen, 1 if k > 0 else -1)] * abs(k)
 
 
 def from_normal_form(terms: Iterable[tuple[str, int]]) -> Word:
@@ -187,8 +182,7 @@ def from_normal_form(terms: Iterable[tuple[str, int]]) -> Word:
         if gen == prev:
             raise DomainError(f"adjacent terms share the generator {gen!r}")
         prev = gen
-        sign = 1 if exp > 0 else -1
-        letters.extend(Letter(gen, sign) for _ in range(abs(exp)))
+        letters += _run(gen, exp)
     return Word(tuple(letters))
 
 
@@ -219,6 +213,14 @@ class AbelianWord:
     def from_mapping(cls, mapping: Mapping[str, int]) -> "AbelianWord":
         return cls(tuple(sorted((g, m) for g, m in mapping.items() if m != 0)))
 
+    @classmethod
+    def from_terms(cls, terms: Iterable[tuple[str, int]]) -> "AbelianWord":
+        """The sum of (generator, exponent) terms, repeats allowed."""
+        counts: dict[str, int] = {}
+        for gen, m in terms:
+            counts[gen] = counts.get(gen, 0) + m
+        return cls.from_mapping(counts)
+
     @property
     def is_identity(self) -> bool:
         return not self.terms
@@ -242,15 +244,11 @@ class AbelianWord:
         """The multiset of signed letters, in term order."""
         out: list[Letter] = []
         for gen, m in self.terms:
-            sign = 1 if m > 0 else -1
-            out.extend(Letter(gen, sign) for _ in range(abs(m)))
+            out += _run(gen, m)
         return tuple(out)
 
     def __add__(self, other: "AbelianWord") -> "AbelianWord":
-        counts = dict(self.terms)
-        for g, m in other.terms:
-            counts[g] = counts.get(g, 0) + m
-        return AbelianWord.from_mapping(counts)
+        return AbelianWord.from_terms(self.terms + other.terms)
 
     def __neg__(self) -> "AbelianWord":
         return AbelianWord(tuple((g, -m) for g, m in self.terms))
@@ -311,8 +309,7 @@ def parse_word(text: str, alphabet: Collection[str]) -> Word:
         if sym is None:
             letters.append(Letter.neutral())
         else:
-            sign = 1 if k > 0 else -1
-            letters.extend(Letter(sym, sign) for _ in range(abs(k)))
+            letters += _run(sym, k)
     return Word(tuple(letters))
 
 
@@ -330,16 +327,13 @@ def parse_abelian(text: str, alphabet: Collection[str]) -> AbelianWord:
         parsed = _parse_terms(stripped, symbols)
         if parsed is not None:
             return parsed
-    counts: dict[str, int] = {}
-    for sym, k in _word_tokens(text, symbols):
-        if sym is not None:
-            counts[sym] = counts.get(sym, 0) + k
-    return AbelianWord.from_mapping(counts)
+    return AbelianWord.from_terms((sym, k) for sym, k in _word_tokens(text, symbols)
+                                  if sym is not None)
 
 
 def _parse_terms(text: str, symbols: set[str]) -> AbelianWord | None:
     """Term syntax like ``-2a + 3b``; None when the text is not term-shaped."""
-    counts: dict[str, int] = {}
+    terms: list[tuple[str, int]] = []
     pos = 0
     first = True
     while pos < len(text):
@@ -358,5 +352,5 @@ def _parse_terms(text: str, symbols: set[str]) -> AbelianWord | None:
             continue
         if sym not in symbols:
             raise FormatError(f"unknown generator {sym!r}")
-        counts[sym] = counts.get(sym, 0) + coef
-    return AbelianWord.from_mapping(counts)
+        terms.append((sym, coef))
+    return AbelianWord.from_terms(terms)

@@ -68,6 +68,33 @@ def gamma_by_formula(space: QPSpace, letters, pairing) -> Fraction:
     return total / 2
 
 
+def rho_table(space: QPSpace) -> dict:
+    """The extension rho of d to X + {e} + X^-1 as a table keyed by letter
+    pairs, written from the two-stage definition with no library call: a
+    stage-one table on the points and e (d between points, 1 against e, 0
+    at (e, e)), copied to the letters of no negative sign as it is and to
+    the inverse-or-neutral letters with both sides inverted and swapped;
+    a point against an inverse letter costs 2."""
+    points = space.points
+    stage_one = {(None, None): Fraction(0)}
+    for i, x in enumerate(points):
+        stage_one[x, None] = stage_one[None, x] = Fraction(1)
+        for j, y in enumerate(points):
+            stage_one[x, y] = space.dist[i][j]
+    e = Letter.neutral()
+    table = {}
+    for (s, t), value in stage_one.items():
+        up = [e if u is None else Letter(u, 1) for u in (s, t)]
+        down = [e if u is None else Letter(u, -1) for u in (s, t)]
+        table[up[0], up[1]] = value
+        table[down[1], down[0]] = value
+    for x in points:
+        for y in points:
+            table[Letter(x, 1), Letter(y, -1)] = Fraction(2)
+            table[Letter(x, -1), Letter(y, 1)] = Fraction(2)
+    return table
+
+
 def brute_free_norm(space: QPSpace, g: Word) -> Fraction:
     """Minimum of the cost functional over the attainment family: almost
     irreducible words over the signed letters of g, their inverses and the

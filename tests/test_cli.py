@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,22 @@ def test_overlong_integer_is_format_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--space", SPACE)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "digits" in err
+
+
+@pytest.mark.parametrize("source", ["eps", "space"])
+def test_exponent_notation_is_format_error(capsys, tmp_path, source):
+    """Exponent notation is refused before ``Fraction`` expands it, which
+    takes seconds and grows about 30-fold per digit of the exponent."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": ["a", "b"], "dist": [
+        ["0", "1e-10000000" if source == "space" else "1/4"], ["1/2", "0"]]}))
+    eps = "1e-10000000" if source == "eps" else "1/2"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "member", "--space", str(space),
+                         "--word", "a", "--eps", eps)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "1e-10000000" in err
 
 
 @pytest.mark.parametrize("command", [

@@ -7,7 +7,9 @@ import pytest
 
 from graevext import (DomainError, FormatError, Letter, QPSpace, load_space,
                       neutral_extension, parse_rational, signed_extension)
+from graevext.schemes import arc_cost
 from .conftest import random_qpspace
+from .oracles import rho_table
 
 F = Fraction
 
@@ -20,7 +22,9 @@ def test_parse_rational():
     assert parse_rational("1/4") == F(1, 4)
     assert parse_rational("2") == F(2)
     assert parse_rational(3) == F(3)
-    for bad in ("-1/2", "x", "1/0", 1.5, True, None):
+    for bad in ("-1/2", "x", "1/0", 1.5, True, None,
+                "1e-10000000", "1E3", "2/1e3", "0.5", ".5", "1.", "+1", "1_000",
+                "\u0663", "1 / 2", "9" * 5000):
         with pytest.raises(FormatError):
             parse_rational(bad)
 
@@ -147,16 +151,24 @@ def test_extension_restrictions_random():
                 assert signed_extension(sp, p, q) == neutral_extension(sp, p, q)
 
 
-def test_signed_extension_axioms_random():
+def test_signed_extension_axioms_random(two_point_space):
     rng = random.Random(29)
-    for trial in range(12):
-        sp = random_qpspace(rng, rng.randint(2, 5))
-        letters = [Letter.neutral()]
+    spaces = [random_qpspace(rng, rng.randint(2, 5)) for _ in range(12)]
+    for sp in [two_point_space] + spaces:
+        e = Letter.neutral()
+        letters = [e]
         for gen in sp.points:
             letters.append(Letter(gen, 1))
             letters.append(Letter(gen, -1))
         table = {(p, q): signed_extension(sp, p, q)
                  for p in letters for q in letters}
+        assert table == rho_table(sp)
+        for p in letters:
+            for q in letters:
+                assert arc_cost(sp, p, q) == arc_cost(sp, q, p)
+            if p != e:
+                assert arc_cost(sp, p, p.inverse()) == 0
+                assert arc_cost(sp, p, e) == 1
         for p in letters:
             assert table[p, p] == 0
         for p in letters:

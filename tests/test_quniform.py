@@ -11,7 +11,7 @@ from graevext import (AbelianWord, DomainError, Entourage, EntourageSequence,
                       composition_contained, decompose_prefix,
                       decompose_subset, entourage_metric, frink_metric,
                       load_entourage, load_topology, parse_abelian,
-                      universal_base)
+                      quniform, universal_base)
 from .conftest import (random_entourage, random_qpspace,
                        random_tripling_chain)
 from .oracles import brute_decompose, compose_by_matrix
@@ -472,6 +472,21 @@ def test_long_sequences_need_no_recursion():
     assert results[:3] == [None, None, None]
     assert results[3].k == 1 and results[3].pairs == (("x", "x"),)
     assert results[4].positions == (300,) and results[4].pairs == (("x", "y"),)
+
+
+def test_deep_hit_needs_few_searches(monkeypatch):
+    # the least k is 300, so counting up from 1 would search 300 times
+    pts = ("x", "y")
+    seq = EntourageSequence((Entourage.diagonal(pts),) * 299
+                            + (Entourage.from_pairs(pts, [("x", "y")]),))
+    searches = []
+    search = quniform._first_choice
+    monkeypatch.setattr(quniform, "_first_choice",
+                        lambda *args: searches.append(args) or search(*args))
+    found = decompose_prefix(parse_abelian("-x + y", pts), seq, 300)
+    assert len(searches) <= 12
+    assert found.k == 300
+    assert found.pairs == (("x", "x"),) * 299 + (("x", "y"),)
 
 
 def test_wp_members_fall_in_norm_balls():
