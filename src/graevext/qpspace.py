@@ -4,6 +4,15 @@ A quasi-pseudometric has a zero diagonal and satisfies the triangle
 inequality but need not be symmetric.  Distances here are always
 ``fractions.Fraction``, so minima, comparisons and equalities are exact.
 
+``QPSpace.validate`` checks the axioms on an integer view of the matrix:
+every entry over the least common multiple of the denominators.  Each
+row is screened for the triangle law, and for the bound by 1, with
+integer passes that run in C; only a row that fails its screen goes
+through the exact ``Fraction`` loop, which words its violations.  When
+that common denominator passes 2**64 the view is not built, since n**2
+integers of its size could exhaust memory, and every row takes the
+exact loop.
+
 The module also provides the two extension stages used by the group norms:
 first to the point set enlarged by the neutral letter, then to the full
 signed alphabet (points, their formal inverses, and the neutral letter).
@@ -21,6 +30,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import le
 from .errors import DomainError, FormatError
 from .words import Letter, validate_symbols
 
@@ -28,24 +39,37 @@ ONE = Fraction(1)
 TWO = Fraction(2)
 # a sign is matched only so that a negative value gets its own message
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# longest rejected value an error message repeats whole
+_SHOWN = 40
+# a common denominator past this builds no integer view (module docstring)
+SCALE_LIMIT = 2 ** 64
+
+
+def _shown(value) -> str:
+    """A rejected value as error messages show it: its ``repr``, or for a
+    long one the start of it and its length in characters."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _SHOWN:
+        return repr(value)
+    return f"{text[:_SHOWN]!r}... ({len(text)} characters)"
 
 
 def parse_rational(value) -> Fraction:
     """Parse a non-negative rational from an int or a string of ASCII
     digits, optionally ``p/q``, with whitespace around it allowed."""
     if isinstance(value, bool):
-        raise FormatError(f"not a rational: {value!r}")
+        raise FormatError(f"not a rational: {_shown(value)}")
     if isinstance(value, (int, Fraction)):
         out = Fraction(value)
     elif isinstance(value, str) and _RATIONAL_RE.fullmatch(value.strip()):
         try:
             out = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"not a rational: {value!r}") from exc
+            raise FormatError(f"not a rational: {_shown(value)}") from exc
     else:
-        raise FormatError(f"not a rational: {value!r}")
+        raise FormatError(f"not a rational: {_shown(value)}")
     if out < 0:
-        raise FormatError(f"negative value not allowed: {value!r}")
+        raise FormatError(f"negative value not allowed: {_shown(value)}")
     return out
 
 
@@ -98,16 +122,38 @@ class QPSpace:
         except KeyError as exc:
             raise DomainError(f"unknown point {exc.args[0]!r}") from exc
 
+    @cached_property
+    def integer_view(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+        """``(scale, rows)`` with ``dist[i][j] == rows[i][j] / scale``, where
+        ``scale`` is the least common multiple of the denominators; None
+        once that passes ``SCALE_LIMIT``."""
+        scale = 1
+        for row in self.dist:
+            for x in row:
+                scale = lcm(scale, x.denominator)
+                if scale > SCALE_LIMIT:
+                    return None
+        return scale, tuple(tuple(x.numerator * (scale // x.denominator)
+                                  for x in row) for row in self.dist)
+
     def validate(self, require_bounded: bool = False) -> list[Violation]:
-        """Report every violated axiom instance; empty means valid."""
+        """Report every violated axiom instance; empty means valid.
+
+        Rows that pass their integer screen on ``integer_view`` are
+        skipped; the others, or all rows when there is no view, run the
+        exact loop, so the list is the same as with that loop alone.
+        """
         out: list[Violation] = []
         pts, dist = self.points, self.dist
         n = len(pts)
+        view = self.integer_view
         for i in range(n):
             if dist[i][i] != 0:
                 out.append(Violation("diagonal", (pts[i],),
                                      f"d({pts[i]}, {pts[i]}) = {dist[i][i]} != 0"))
         for i in range(n):
+            if view is not None and _triangles_hold(view[1], i):
+                continue
             for j in range(n):
                 for k in range(n):
                     if dist[i][j] > dist[i][k] + dist[k][j]:
@@ -117,6 +163,8 @@ class QPSpace:
                             f"{dist[i][k]} + {dist[k][j]}"))
         if require_bounded:
             for i in range(n):
+                if view is not None and max(view[1][i]) <= view[0]:
+                    continue
                 for j in range(n):
                     if dist[i][j] > 1:
                         out.append(Violation("bound", (pts[i], pts[j]),
@@ -162,7 +210,8 @@ class QPSpace:
     @classmethod
     def from_json_dict(cls, obj) -> "QPSpace":
         check_document(obj, "space", ("points", "dist"), ("bounded_by_one",))
-        rows = tuple(tuple(parse_rational(x) for x in row) for row in obj["dist"])
+        rows = tuple(tuple(_entry(x, i, j) for j, x in enumerate(row))
+                     for i, row in enumerate(obj["dist"]))
         try:
             space = cls(tuple(obj["points"]), rows)
         except DomainError as exc:
@@ -178,6 +227,23 @@ class QPSpace:
         if flag and not space.is_bounded_by_one():
             raise FormatError("space declares bounded_by_one but has entries > 1")
         return space
+
+
+def _triangles_hold(rows, i: int) -> bool:
+    """Whether ``rows[i][j] <= rows[i][k] + rows[k][j]`` for every j and k,
+    in one C-level pass over j for each k."""
+    row = rows[i]
+    return all(all(map(le, row, [a + b for b in rows[k]]))
+               for k, a in enumerate(row))
+
+
+def _entry(value, i: int, j: int) -> Fraction:
+    """``parse_rational`` for the space file entry ``dist[i][j]``, which
+    its error message names."""
+    try:
+        return parse_rational(value)
+    except FormatError as exc:
+        raise FormatError(f"dist[{i}][{j}]: {exc}") from None
 
 
 def check_document(obj, kind: str, required, optional=()) -> None:

@@ -23,14 +23,21 @@ def random_qpspace(rng: random.Random, n_points: int, denom: int = 16) -> QPSpac
          for _ in range(n_points)]
     for i in range(n_points):
         m[i][i] = Fraction(0)
-    for k in range(n_points):
-        for i in range(n_points):
-            for j in range(n_points):
-                if m[i][k] + m[k][j] < m[i][j]:
-                    m[i][j] = m[i][k] + m[k][j]
+    min_plus_close(m)
     space = QPSpace(points, tuple(tuple(row) for row in m))
     assert not space.validate(require_bounded=True)
     return space
+
+
+def min_plus_close(m) -> None:
+    """Lower each entry of the square matrix ``m`` in place to its shortest
+    path, Floyd-Warshall style, so that it satisfies the triangle law."""
+    n = len(m)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if m[i][k] + m[k][j] < m[i][j]:
+                    m[i][j] = m[i][k] + m[k][j]
 
 
 def random_reduced_word(rng: random.Random, gens, max_len: int,

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's optimized code paths: reduction is
 a rescan-until-fixpoint loop instead of a stack pass, pairings come from
-unfiltered enumeration, the free-group norm enumerates candidate words
+unfiltered enumeration, space validation is the plain triple loop over
+exact fractions, the free-group norm enumerates candidate words
 and pairings outright, and decompositions over entourage sequences try
 every choice of levels and pairs.  The former exhaustive free-norm walk
 is kept here too, as a second free-norm oracle.  Slow, simple, and only
@@ -13,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from graevext import Letter, QPSpace, Word, signed_extension
+from graevext import Letter, QPSpace, Violation, Word, signed_extension
 
 
 def scan_reduce(word: Word) -> Word:
@@ -66,6 +67,35 @@ def gamma_by_formula(space: QPSpace, letters, pairing) -> Fraction:
         total += signed_extension(space, letters[i - 1].inverse(),
                                   letters[partner[i] - 1])
     return total / 2
+
+
+def brute_violations(space: QPSpace, require_bounded: bool) -> list[Violation]:
+    """Every violated axiom instance of ``space`` in ``QPSpace.validate``'s
+    order and wording, by the triple loop over exact fractions: the
+    diagonal, then each triangle (i, j, k) in that nesting, then the
+    bound by 1 when required."""
+    out = []
+    pts, dist = space.points, space.dist
+    n = len(pts)
+    for i in range(n):
+        if dist[i][i] != 0:
+            out.append(Violation("diagonal", (pts[i],),
+                                 f"d({pts[i]}, {pts[i]}) = {dist[i][i]} != 0"))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][j] > dist[i][k] + dist[k][j]:
+                    out.append(Violation(
+                        "triangle", (pts[i], pts[j], pts[k]),
+                        f"d({pts[i]}, {pts[j]}) = {dist[i][j]} > "
+                        f"{dist[i][k]} + {dist[k][j]}"))
+    if require_bounded:
+        for i in range(n):
+            for j in range(n):
+                if dist[i][j] > 1:
+                    out.append(Violation("bound", (pts[i], pts[j]),
+                                         f"d({pts[i]}, {pts[j]}) = {dist[i][j]} > 1"))
+    return out
 
 
 def rho_table(space: QPSpace) -> dict:

@@ -187,6 +187,19 @@ def test_exponent_notation_is_format_error(capsys, tmp_path, source):
     assert err.startswith("error: ") and "1e-10000000" in err
 
 
+def test_long_rejected_entry_is_named_not_echoed(capsys, tmp_path):
+    """A malformed entry is named by its place and length; its text is
+    cut to a short start, however long it is."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": ["a", "b"], "dist": [
+        ["0", "9" * 2_000_000], ["1/2", "0"]]}))
+    code, out, err = run(capsys, "validate", "--space", str(space))
+    assert (code, out) == (1, "")
+    assert len(err.encode()) < 1024
+    assert err.startswith("error: dist[0][1]: not a rational: '999")
+    assert "2000000 characters" in err
+
+
 @pytest.mark.parametrize("command", [
     ["dist", "--from", "a b", "--to", "b a b a b"],
     ["dist", "--abelian", "--from", "7a", "--to=-6b"],

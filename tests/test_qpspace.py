@@ -7,9 +7,10 @@ import pytest
 
 from graevext import (DomainError, FormatError, Letter, QPSpace, load_space,
                       neutral_extension, parse_rational, signed_extension)
+from graevext.qpspace import SCALE_LIMIT, _triangles_hold
 from graevext.schemes import arc_cost
-from .conftest import random_qpspace
-from .oracles import rho_table
+from .conftest import min_plus_close, random_qpspace
+from .oracles import brute_violations, rho_table
 
 F = Fraction
 
@@ -53,6 +54,104 @@ def test_triangle_violation_reported():
 def test_diagonal_violation_reported():
     bad = space("ab", [[F(1, 2), 1], [1, 0]])
     assert any(v.kind == "diagonal" and v.where == ("a",) for v in bad.validate())
+
+
+def _rough_entry(rng) -> Fraction:
+    denom = rng.choice((1, 7, 9, 12))
+    return F(rng.randint(0, 2 * denom), denom)
+
+
+def _rough_space(rng, kind: str) -> QPSpace:
+    """A space over mixed denominators 1, 7, 9 and 12 with entries up to 2,
+    closed under min-plus, then left alone ("closed"), with some entries
+    redrawn ("perturbed"), or with some diagonal entries made non-zero
+    ("diagonal", built through ``QPSpace`` since a file must have zeros)."""
+    n = rng.randint(1, 6)
+    m = [[F(0) if i == j else _rough_entry(rng) for j in range(n)]
+         for i in range(n)]
+    min_plus_close(m)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if kind == "perturbed" and i != j:
+            m[i][j] = _rough_entry(rng)
+        elif kind == "diagonal":
+            m[i][i] = _rough_entry(rng) or F(1, 7)
+    return QPSpace(tuple("abcdfg"[:n]), tuple(tuple(row) for row in m))
+
+
+def test_validate_against_brute_force():
+    """Whole violation lists, kinds, places, wording and order, equal the
+    triple loop's on random spaces of every kind, with and without the
+    bound by 1; the integer screen flags exactly the rows that break a
+    triangle."""
+    rng = random.Random(311)
+    seen = {"diagonal": 0, "triangle": 0, "bound": 0, "valid": 0}
+    spaces = [space("abc", [[0, F(5, 12), F(2, 9)], [F(1, 7), 0, F(2, 9)],
+                            [F(2, 9), F(2, 9), 0]]),
+              space("abc", [[0, F(5, 12), F(2, 9)], [F(1, 7), 0, F(2, 9)],
+                            [F(2, 9), F(1, 7), 0]])]
+    spaces += [_rough_space(rng, kind) for _ in range(150)
+               for kind in ("closed", "perturbed", "diagonal")]
+    for sp in spaces:
+        for require_bounded in (False, True):
+            expected = brute_violations(sp, require_bounded)
+            assert sp.validate(require_bounded) == expected
+            seen["valid"] += not expected
+            for violation in expected:
+                seen[violation.kind] += 1
+        # the screen itself is exact: a row fails it iff the row breaks a
+        # triangle, so no valid row pays for the exact loop
+        failing = {v.where[0] for v in expected if v.kind == "triangle"}
+        assert [not _triangles_hold(sp.integer_view[1], i)
+                for i in range(len(sp))] == [p in failing for p in sp.points]
+    assert spaces[0].integer_view[0] == 252
+    assert spaces[0].validate() == []
+    assert [v.where for v in spaces[1].validate()] == [("a", "b", "c")]
+    assert min(seen.values()) >= 100, seen
+
+
+def test_validate_without_integer_view():
+    """Past ``SCALE_LIMIT`` no integer view is built and every row takes
+    the exact loop, with the same violations on valid and broken spaces."""
+    assert space("ab", [[0, F(1, 2 ** 64)], [1, 0]]).integer_view[0] == SCALE_LIMIT
+    assert space("ab", [[0, F(1, 2 ** 64)], [F(1, 3), 0]]).integer_view is None
+    primes = iter(p for p in range(2, 114) if all(p % q for q in range(2, p)))
+    # the 30 off-diagonal entries of six points, one prime denominator
+    # each, all in [1/2, 1): a valid space bounded by 1
+    rows = [[F(0) if i == j else None for j in range(6)] for i in range(6)]
+    for i, j in product(range(6), repeat=2):
+        if i != j:
+            p = next(primes)
+            rows[i][j] = F(p - 1, p)
+    assert next(primes, None) is None
+    valid = space("abcdfg", rows)
+    assert valid.integer_view is None
+    assert valid.validate(True) == brute_violations(valid, True) == []
+    rows[0][1], rows[3][2] = F(2), F(1, 113)
+    broken = space("abcdfg", rows)
+    assert broken.integer_view is None
+    for require_bounded in (False, True):
+        expected = brute_violations(broken, require_bounded)
+        assert broken.validate(require_bounded) == expected
+    assert {v.kind for v in expected} == {"triangle", "bound"}
+
+
+def test_valid_space_validation_does_no_fraction_arithmetic(monkeypatch):
+    """A valid space passes on integers alone: no ``Fraction`` sum is taken
+    once the space is built."""
+    rng = random.Random(41)
+    points = tuple(f"p{i}" for i in range(24))
+    m = [[F(0) if i == j else F(rng.randint(1, 12), 12) for j in range(24)]
+         for i in range(24)]
+    min_plus_close(m)
+    closed = QPSpace(points, tuple(tuple(row) for row in m))
+
+    def boom(*args):
+        raise AssertionError("Fraction arithmetic in validate")
+
+    monkeypatch.setattr(Fraction, "__add__", boom)
+    monkeypatch.setattr(Fraction, "__radd__", boom)
+    assert closed.validate(require_bounded=True) == []
 
 
 def test_bound_violation_only_when_required():
