@@ -3,25 +3,22 @@
 One computation per invocation, file-based inputs, deterministic output.
 Values print as exact rationals (``p/q``, integers without the ``/1``).
 Exit codes: 0 success, 1 domain or format error, 2 search cap exceeded.
+
+Each command imports the modules it runs when it runs, so a call pays
+only for its own subcommand: ``validate`` never loads the norms, and
+``wmember`` never loads the norms or the pairing schemes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import CapExceeded, DomainError
-from .norms import ball_member, norm
-from .qpspace import load_space, parse_rational
-from .quniform import (composition_contained, decompose_prefix,
-                       decompose_subset, frink_metric, load_sequence,
-                       load_topology, universal_base)
-from .schemes import enumerate_schemes
-from .words import parse_abelian, parse_word
 
 
 def _load_space(args):
+    from .qpspace import load_space
     space = load_space(args.space)
     if args.cap_at_one:
         space = space.cap_at_one()
@@ -32,12 +29,14 @@ def _group(args):
     """The parser and the left difference (g, h) -> g^-1 h of the group the
     command works in: the free abelian group with --abelian, else the free
     group."""
+    from .words import parse_abelian, parse_word
     if args.abelian:
         return parse_abelian, lambda g, h: h - g
     return parse_word, lambda g, h: g.inverse() * h
 
 
 def _print_norm(args, space, element) -> int:
+    from .norms import norm
     value, witness = norm(space, element, args.cap)
     print(value)
     if args.witness:
@@ -46,6 +45,7 @@ def _print_norm(args, space, element) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .qpspace import load_space
     space = load_space(args.space)
     violations = space.validate(require_bounded=args.bounded)
     if not violations:
@@ -71,6 +71,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_member(args) -> int:
+    from .norms import ball_member
+    from .qpspace import parse_rational
     space = _load_space(args)
     eps = parse_rational(args.eps)
     parse, _ = _group(args)
@@ -80,6 +82,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_schemes(args) -> int:
+    from .schemes import enumerate_schemes
     count = 0
     for scheme in enumerate_schemes(args.n):
         print(scheme)
@@ -89,6 +92,8 @@ def cmd_schemes(args) -> int:
 
 
 def cmd_frink(args) -> int:
+    import json
+    from .quniform import frink_metric, load_sequence
     seq = load_sequence(args.chain)
     space = frink_metric(seq)
     print(json.dumps(space.to_json_dict(), indent=2, sort_keys=True))
@@ -96,6 +101,7 @@ def cmd_frink(args) -> int:
 
 
 def cmd_lemma5(args) -> int:
+    from .quniform import composition_contained, load_sequence
     seq = load_sequence(args.chain)
     try:
         ks = [int(x) for x in args.ks.split(",") if x.strip() != ""]
@@ -106,6 +112,8 @@ def cmd_lemma5(args) -> int:
 
 
 def cmd_ubase(args) -> int:
+    import json
+    from .quniform import load_topology, universal_base
     space = load_topology(args.topology)
     base = universal_base(space)
     print(json.dumps(base.to_json_dict(), indent=2, sort_keys=True))
@@ -113,6 +121,8 @@ def cmd_ubase(args) -> int:
 
 
 def cmd_wmember(args) -> int:
+    from .quniform import decompose_prefix, decompose_subset, load_sequence
+    from .words import parse_abelian
     seq = load_sequence(args.seq)
     element = parse_abelian(args.word, seq.points)
     if args.n is not None:

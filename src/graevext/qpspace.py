@@ -38,7 +38,7 @@ from .words import Letter, validate_symbols
 ONE = Fraction(1)
 TWO = Fraction(2)
 # a sign is matched only so that a negative value gets its own message
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # longest rejected value an error message repeats whole
 _SHOWN = 40
 # a common denominator past this builds no integer view (module docstring)
@@ -61,9 +61,12 @@ def parse_rational(value) -> Fraction:
         raise FormatError(f"not a rational: {_shown(value)}")
     if isinstance(value, (int, Fraction)):
         out = Fraction(value)
-    elif isinstance(value, str) and _RATIONAL_RE.fullmatch(value.strip()):
+    elif isinstance(value, str) and (
+            match := _RATIONAL_RE.fullmatch(value.strip())):
+        p, q = match.groups()
         try:
-            out = Fraction(value.strip())
+            # int() refuses digit strings past the interpreter's limit
+            out = Fraction(int(p), int(q or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a rational: {_shown(value)}") from exc
     else:
@@ -100,7 +103,8 @@ class QPSpace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", validate_symbols(self.points))
         n = len(self.points)
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.dist)
+        rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
+                           for x in row) for row in self.dist)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DomainError(
                 f"distance matrix must be {n}x{n} to match the point list"

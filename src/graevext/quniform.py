@@ -21,6 +21,25 @@ pair (x, x) pads a decomposition by one level and success is monotone
 in the bound: a miss at the bound is final, and after a hit a galloping
 search from the smallest bound finds the least bound that hits.
 
+Before it searches, ``_cut`` tries to refuse g outright.  Let R be the
+pairs (x, y), x != y, of every level the search may use: the first
+k_max for a prefix, all of them for a subset.  Call a set O of points
+up-closed when x in O and (x, y) in R put y in O, and write g(O) for the
+sum of g's coefficients over O.  A pair -x + y adds -[x in O] + [y in O]
+>= 0 to g(O), so if g(O) < 0 for one up-closed O, no sum of pairs from R
+equals g.  Gale's feasibility theorem (D. Gale, "A theorem on flows in
+networks", Pacific J. Math. 1957; A. J. Hoffman 1960) gives the
+converse for sums of any length, and one exact integer max-flow decides
+between the two.  The network has a source, a sink and one node per
+point: the source feeds each x with g(x) < 0 at capacity -g(x), each y
+with g(y) > 0 feeds the sink at capacity g(y), and each pair of R is an
+arc with no capacity limit.  If the flow reaches the negative mass of g,
+its paths from source to sink telescope into a sum of R-pairs equal to
+g, and the search decides whether such a sum fits the bound and the
+one-pair-per-level rule.  If it falls short, the points the source
+still reaches in the residual network form a set O that no unlimited
+arc leaves, so O is up-closed, and g(O) = flow - (negative mass) < 0.
+
 File formats (JSON): an entourage file mirrors the space file, with
 ``points`` and a 0/1 ``relation`` matrix (reflexivity is validated, never
 repaired); a sequence file is a JSON array of entourage file paths,
@@ -31,6 +50,7 @@ and an ``opens`` list of point lists.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -428,16 +448,79 @@ def _first_choice(g: AbelianWord, levels: list[list[tuple[str, str]]],
     return None
 
 
+def _cut(g: AbelianWord,
+         levels: list[list[tuple[str, str]]]) -> frozenset[str] | None:
+    """An up-closed set O of points with g(O) < 0, for the pairs R of
+    ``levels``, which proves that no sum of R-pairs equals g; None when
+    the max-flow shows that some sum does (module docstring).  g's
+    coefficients must sum to 0.
+
+    Edmonds-Karp: each augmenting path is a shortest one, found by one
+    breadth-first search from every point the source still feeds."""
+    arcs: dict[str, dict[str, None]] = {}
+    back: dict[str, dict[str, None]] = {}
+    for level in levels:
+        for x, y in level:
+            if x != y:
+                arcs.setdefault(x, {})[y] = None
+                back.setdefault(y, {})[x] = None
+    supply = {x: -m for x, m in g.terms if m < 0}
+    demand = {y: m for y, m in g.terms if m > 0}
+    sent: dict[tuple[str, str], int] = {}
+    while any(supply.values()):
+        # reached point -> (previous point, +1 along an arc of R, -1 back
+        # along one that carries flow); None for a point the source feeds
+        parent = {x: None for x, left in supply.items() if left}
+        queue = deque(parent)
+        end = None
+        while queue:
+            x = queue.popleft()
+            if demand.get(x):
+                end = x
+                break
+            for y in arcs.get(x, ()):
+                if y not in parent:
+                    parent[y] = (x, 1)
+                    queue.append(y)
+            for y in back.get(x, ()):
+                if sent.get((y, x)) and y not in parent:
+                    parent[y] = (x, -1)
+                    queue.append(y)
+        if end is None:
+            return frozenset(parent)
+        path = []
+        amount, y = demand[end], end
+        while parent[y] is not None:
+            x, sign = parent[y]
+            path.append((x, y, sign))
+            if sign < 0:
+                amount = min(amount, sent[y, x])
+            y = x
+        amount = min(amount, supply[y])
+        supply[y] -= amount
+        demand[end] -= amount
+        for x, y, sign in path:
+            if sign > 0:
+                sent[x, y] = sent.get((x, y), 0) + amount
+            else:
+                sent[y, x] -= amount
+    return None
+
+
 def _decompose(g: AbelianWord, seq: EntourageSequence, bound: int,
-               name: str, low: int, search):
-    """Check the input, then return ``search(levels, b)`` at the least b in
-    low..bound where it hits, or None; a miss at ``bound`` is final."""
+               name: str, low: int, usable: int, search):
+    """Check the input, refuse g if ``_cut`` proves that no sum of pairs
+    from the first ``usable`` levels equals it, then return
+    ``search(levels, b)`` at the least b in low..bound where it hits, or
+    None; a miss at ``bound`` is final."""
     check_generators(seq[0], g.generators())
     if not 1 <= bound <= len(seq):
         raise DomainError(f"{name} must lie in 1..{len(seq)}, got {bound}")
     if g.coefficient_sum() != 0:
         return None
     levels = [sorted(e.pairs()) for e in seq]
+    if _cut(g, levels[:usable]) is not None:
+        return None
     found = search(levels, bound)
     if found is None:
         return None
@@ -458,7 +541,7 @@ def decompose_prefix(g: AbelianWord, seq: EntourageSequence,
     least k <= k_max; None when there is none within the bound, which
     proves nothing for longer prefixes unless g's coefficient sum is
     nonzero."""
-    found = _decompose(g, seq, k_max, "k_max", 1,
+    found = _decompose(g, seq, k_max, "k_max", 1, k_max,
                        lambda levels, k: _first_choice(g, levels[:k], k))
     if found is None:
         return None
@@ -470,7 +553,7 @@ def decompose_subset(g: AbelianWord, seq: EntourageSequence,
     """Write g with the fewest pairs, at most n, over distinct positions
     (1-based in the result); None means g has no such decomposition in
     this sequence."""
-    found = _decompose(g, seq, n, "n", 0,
+    found = _decompose(g, seq, n, "n", 0, len(seq),
                        lambda levels, size: _first_choice(g, levels, size))
     if found is None:
         return None

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -332,6 +335,49 @@ def test_wmember_long_sequence(capsys, tmp_path, bound, expected):
     code, out, err = run(capsys, "wmember", "--word", "-x + y",
                          "--seq", str(chain), *bound)
     assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("bound,expected", [
+    (["--n", "300"], "not-member\n"),
+    (["--kmax", "300"], "not-found-within-bound\n"),
+], ids=["n-300", "kmax-300"])
+def test_wmember_unreachable_is_refused_quickly(capsys, tmp_path, bound,
+                                                expected):
+    # c does not reach a; without the cut the search took over a minute
+    _write_entourage(tmp_path / "path.json", ("a", "b", "c"),
+                     [("a", "b"), ("b", "c")])
+    chain = _write_chain(tmp_path, "seq.json", ["path.json"] * 300)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wmember", "--word", "-c + a",
+                         "--seq", str(chain), *bound)
+    assert (code, out, err) == (0, expected, "")
+    assert time.perf_counter() - start < 2
+
+
+def _modules_loaded(*argv):
+    """The package modules that one command loads in a fresh interpreter."""
+    script = ("import sys\nfrom graevext.cli import main\nmain(sys.argv[1:])\n"
+              "print(*sorted(m for m in sys.modules if m.startswith('graevext')))")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    _write_entourage(tmp_path / "u.json", ("x", "y"), [("x", "y")])
+    chain = _write_chain(tmp_path, "seq.json", ["u.json"])
+    for argv, needed, unused in (
+            (["validate", "--space", SPACE], "qpspace", ("quniform", "norms")),
+            (["schemes", "--n", "3"], "schemes", ("quniform", "norms")),
+            (["wmember", "--word", "-x + y", "--seq", str(chain), "--n", "1"],
+             "quniform", ("norms",))):
+        loaded = _modules_loaded(*argv)
+        assert f"graevext.{needed}" in loaded, argv
+        assert not loaded & {f"graevext.{m}" for m in unused}, argv
 
 
 def test_output_values_reparse(capsys):

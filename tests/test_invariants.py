@@ -1,13 +1,16 @@
-"""Two invariants of the package source, checked on its syntax trees: it
+"""Invariants of the package source, checked on its syntax trees: it
 imports nothing outside the standard library and itself, because it has
-no runtime dependencies, and it never uses floats, because every value it
-computes is exact."""
+no runtime dependencies; it never uses floats, because every value it
+computes is exact; and its front modules, ``__init__`` and ``cli``, load
+no other module of the package until a name or a command needs it."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import graevext
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "graevext").glob("*.py"))
 
@@ -43,3 +46,23 @@ def test_no_floats(path):
             f"{path.name}:{node.lineno} has the literal {node.value!r}"
         assert not (isinstance(node, ast.Name) and node.id == "float"), \
             f"{path.name}:{node.lineno} uses float"
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_front_modules_import_submodules_on_demand(name):
+    path = next(p for p in SOURCES if p.name == name)
+    for node in _tree(path).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module == "errors", \
+                f"{name}:{node.lineno} imports .{node.module or ''} at module level"
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("graevext") for a in node.names), \
+                f"{name}:{node.lineno} imports the package at module level"
+
+
+def test_star_import_binds_all():
+    names = {}
+    exec("from graevext import *", names)
+    assert set(graevext.__all__) <= set(names) & set(dir(graevext))
+    for name in graevext.__all__:
+        assert names[name] is getattr(graevext, name)

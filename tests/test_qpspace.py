@@ -23,11 +23,16 @@ def test_parse_rational():
     assert parse_rational("1/4") == F(1, 4)
     assert parse_rational("2") == F(2)
     assert parse_rational(3) == F(3)
+    assert parse_rational(" 004/6 ") == F(2, 3)
+    assert parse_rational("-0") == 0
     for bad in ("-1/2", "x", "1/0", 1.5, True, None,
                 "1e-10000000", "1E3", "2/1e3", "0.5", ".5", "1.", "+1", "1_000",
-                "\u0663", "1 / 2", "9" * 5000):
-        with pytest.raises(FormatError):
+                "\u0663", "1 / 2", "9" * 5000, "1/" + "9" * 5000, "0/0"):
+        with pytest.raises(FormatError) as info:
             parse_rational(bad)
+        negative = isinstance(bad, str) and bad.startswith("-")
+        assert str(info.value).startswith(
+            "negative value not allowed: " if negative else "not a rational: ")
 
 
 def test_one_point_space_valid():

@@ -1,7 +1,9 @@
 import inspect
+import itertools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -487,6 +489,82 @@ def test_deep_hit_needs_few_searches(monkeypatch):
     assert len(searches) <= 12
     assert found.k == 300
     assert found.pairs == (("x", "x"),) * 299 + (("x", "y"),)
+
+
+def _up_closed(points, arcs) -> bool:
+    return all(y in points for x, y in arcs if x in points)
+
+
+def _mass(g, points) -> int:
+    return sum(m for gen, m in g.terms if gen in points)
+
+
+@pytest.mark.parametrize("decompose", [decompose_subset, decompose_prefix])
+def test_cut_refuses_unreachable_miss_at_once(decompose):
+    # c does not reach a, so nothing refutes the search before the last of
+    # its remainders; the cut refuses -c + a at {c}, which gains 1 and
+    # loses nothing
+    pts = ("a", "b", "c")
+    seq = EntourageSequence(
+        (Entourage.from_pairs(pts, [("a", "b"), ("b", "c")]),) * 300)
+    g = parse_abelian("-c + a", pts)
+    start = time.perf_counter()
+    assert decompose(g, seq, 300) is None
+    assert time.perf_counter() - start < 1
+
+
+def test_cut_needs_a_flow_not_reachability():
+    # a and b each reach a positive point, but both only reach c, so d is
+    # left over: the flow carries 1 of the 2 units
+    pts = ("a", "b", "c", "d")
+    level = sorted(Entourage.from_pairs(pts, [("a", "c"), ("b", "c")]).pairs())
+    g = parse_abelian("-a - b + c + d", pts)
+    cut = quniform._cut(g, [level])
+    assert cut == {"a", "b", "c"} and _mass(g, cut) == -1
+    seq = EntourageSequence((Entourage.from_pairs(pts, [("a", "c"), ("b", "c")]),))
+    assert decompose_subset(g, seq, 1) is None
+    assert quniform._cut(parse_abelian("-a - b + 2c", pts), [level]) is None
+
+
+def test_cut_against_brute_force():
+    rng = random.Random(167)
+    fired = 0
+    outcomes = set()
+    for _ in range(300):
+        pts = ("p", "q", "r", "s")[:rng.randint(2, 4)]
+        seq = EntourageSequence(tuple(
+            random_entourage(rng, pts, rng.choice([0.2, 0.35]))
+            for _ in range(rng.randint(1, 3))))
+        mapping = {}
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(pts), rng.choice(pts)
+            mapping[a] = mapping.get(a, 0) - 1
+            mapping[b] = mapping.get(b, 0) + 1
+        g = AbelianWord.from_mapping(mapping)
+        bound = rng.randint(1, len(seq))
+        for decompose, subset, usable in ((decompose_prefix, False, bound),
+                                          (decompose_subset, True, len(seq))):
+            levels = [sorted(e.pairs()) for e in seq[:usable]]
+            arcs = {pair for level in levels for pair in level}
+            cut = quniform._cut(g, levels)
+            # the cut fails exactly when some up-closed set loses mass
+            least = min(_mass(g, o) for size in range(len(pts) + 1)
+                        for o in itertools.combinations(pts, size)
+                        if _up_closed(o, arcs))
+            assert (cut is None) == (least >= 0)
+            found = decompose(g, seq, bound)
+            expected = brute_decompose(g, seq, bound, subset)
+            got = (None if found is None else
+                   ((found.positions if subset else found.k), found.pairs))
+            assert got == expected
+            outcomes.add((cut is None, expected is None))
+            if cut is not None:
+                fired += 1
+                assert _up_closed(cut, arcs) and _mass(g, cut) < 0
+                assert expected is None
+    assert fired > 100
+    # hits, misses the cut refuses, and misses only the search finds
+    assert outcomes == {(True, False), (False, True), (True, True)}
 
 
 def test_wp_members_fall_in_norm_balls():
