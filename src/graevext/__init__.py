@@ -18,21 +18,6 @@ from .errors import CapExceeded, DomainError, FormatError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianWord", "CapExceeded", "DomainError", "Entourage",
-    "EntourageSequence", "FiniteSpace", "FormatError", "Letter",
-    "NormWitness", "PairingWitness", "PrefixDecomposition", "QPSpace",
-    "Scheme", "SubsetDecomposition", "Violation", "Word", "abelian_dist",
-    "abelian_norm", "abelian_norm_balanced", "ball_member", "compose",
-    "composition_contained", "decompose_prefix", "decompose_subset",
-    "entourage_metric", "enumerate_schemes", "frink_metric",
-    "from_normal_form", "graev_dist", "graev_norm", "in_length_ball",
-    "is_scheme", "load_entourage", "load_sequence", "load_space",
-    "load_topology", "neutral_extension", "norm", "parse_abelian",
-    "parse_rational", "parse_word", "pairing_cost", "signed_extension",
-    "universal_base",
-]
-
 _HOMES = {
     "norms": ("NormWitness", "PairingWitness", "abelian_dist", "abelian_norm",
               "abelian_norm_balanced", "ball_member", "graev_dist",
@@ -50,6 +35,7 @@ _HOMES = {
               "in_length_ball", "parse_abelian", "parse_word"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(["CapExceeded", "DomainError", "FormatError", *_HOME])
 
 
 def __getattr__(name: str):

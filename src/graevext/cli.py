@@ -94,8 +94,7 @@ def cmd_schemes(args) -> int:
 def cmd_frink(args) -> int:
     import json
     from .quniform import frink_metric, load_sequence
-    seq = load_sequence(args.chain)
-    space = frink_metric(seq)
+    space = frink_metric(load_sequence(args.chain))
     print(json.dumps(space.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -114,8 +113,7 @@ def cmd_lemma5(args) -> int:
 def cmd_ubase(args) -> int:
     import json
     from .quniform import load_topology, universal_base
-    space = load_topology(args.topology)
-    base = universal_base(space)
+    base = universal_base(load_topology(args.topology))
     print(json.dumps(base.to_json_dict(), indent=2, sort_keys=True))
     return 0
 

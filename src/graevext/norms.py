@@ -93,37 +93,31 @@ instead of silently truncating the search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, DomainError
 from .qpspace import QPSpace, check_generators
 from .schemes import Scheme, arc_cost, pairing_cost
-from .words import AbelianWord, Letter, Word
+from .words import AbelianWord, Letter, Value, Word
 
 DEFAULT_FREE_CAP = 6
 DEFAULT_ABELIAN_CAP = 12
 
 
-@dataclass(frozen=True)
-class NormWitness:
+class NormWitness(Value):
     """A minimizing candidate word and pairing for a free-group norm."""
 
-    word: Word
-    scheme: Scheme
-    value: Fraction
+    _fields = ("word", "scheme", "value")
 
     def __str__(self) -> str:
         return f"value={self.value} word=[{' '.join(self.word.tokens())}] " \
                f"scheme=[{self.scheme}]"
 
 
-@dataclass(frozen=True)
-class PairingWitness:
+class PairingWitness(Value):
     """Oriented difference pairs realizing an abelian norm value."""
 
-    pairs: tuple[tuple[Letter, Letter], ...]
-    value: Fraction
+    _fields = ("pairs", "value")
 
     def __str__(self) -> str:
         body = " ".join(f"({u.token()},{v.token()})" for u, v in self.pairs)

@@ -25,15 +25,13 @@ the matrix must be square with an explicit zero diagonal.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import le
 from .errors import DomainError, FormatError
-from .words import Letter, validate_symbols
+from .words import Letter, Value, validate_symbols
 
 ONE = Fraction(1)
 TWO = Fraction(2)
@@ -76,20 +74,16 @@ def parse_rational(value) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """One failed axiom instance found by ``QPSpace.validate``."""
 
-    kind: str                  # "diagonal" | "triangle" | "bound"
-    where: tuple[str, ...]
-    detail: str
+    _fields = ("kind", "where", "detail")  # kind: diagonal, triangle, bound
 
     def __str__(self) -> str:
         return f"{self.kind} at ({', '.join(self.where)}): {self.detail}"
 
 
-@dataclass(frozen=True)
-class QPSpace:
+class QPSpace(Value):
     """Finite point list with a square matrix of exact distances.
 
     Construction checks shape and non-negativity only; the metric axioms
@@ -97,21 +91,20 @@ class QPSpace:
     instead of rejected wholesale.
     """
 
-    points: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    _fields = ("points", "dist")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", validate_symbols(self.points))
-        n = len(self.points)
+    def __init__(self, points, dist) -> None:
+        points = validate_symbols(points)
+        n = len(points)
         rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
-                           for x in row) for row in self.dist)
+                           for x in row) for row in dist)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DomainError(
                 f"distance matrix must be {n}x{n} to match the point list"
             )
         if any(x < 0 for row in rows for x in row):
             raise DomainError("distances must be non-negative")
-        object.__setattr__(self, "dist", rows)
+        super().__init__(points, rows)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -274,6 +267,7 @@ def read_json(path):
     """Parse a UTF-8 JSON file; bytes that are not UTF-8, malformed JSON,
     integers past Python's digit limit and nesting past the recursion
     limit all raise ``FormatError``."""
+    import json
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)

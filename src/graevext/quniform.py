@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -59,33 +58,29 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError
 from .qpspace import QPSpace, check_document, check_generators, read_json
-from .words import AbelianWord, validate_symbols
+from .words import AbelianWord, Value, validate_symbols
 
 
-@dataclass(frozen=True)
-class Entourage:
+class Entourage(Value):
     """Reflexive boolean relation over a finite point list."""
 
-    points: tuple[str, ...]
-    relation: tuple[tuple[bool, ...], ...]
+    _fields = ("points", "relation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", validate_symbols(self.points))
-        n = len(self.points)
-        rows = tuple(tuple(bool(x) for x in row) for row in self.relation)
+    def __init__(self, points, relation) -> None:
+        points = validate_symbols(points)
+        n = len(points)
+        rows = tuple(tuple(bool(x) for x in row) for row in relation)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DomainError(f"relation matrix must be {n}x{n}")
-        missing = [self.points[i] for i in range(n) if not rows[i][i]]
+        missing = [points[i] for i in range(n) if not rows[i][i]]
         if missing:
             raise DomainError(
                 f"relation is not reflexive at: {', '.join(missing)}")
-        object.__setattr__(self, "relation", rows)
+        super().__init__(points, rows)
 
     @classmethod
     def diagonal(cls, points: Iterable[str]) -> "Entourage":
-        pts = tuple(points)
-        n = len(pts)
-        return cls(pts, tuple(tuple(i == j for j in range(n)) for i in range(n)))
+        return cls.from_pairs(points, ())
 
     @classmethod
     def full(cls, points: Iterable[str]) -> "Entourage":
@@ -171,14 +166,13 @@ def compose(u: Entourage, v: Entourage) -> Entourage:
     return u.compose(v)
 
 
-@dataclass(frozen=True)
-class EntourageSequence:
+class EntourageSequence(Value):
     """Finite ordered list of entourages over one point set."""
 
-    entourages: tuple[Entourage, ...]
+    _fields = ("entourages",)
 
-    def __post_init__(self) -> None:
-        ents = tuple(self.entourages)
+    def __init__(self, entourages) -> None:
+        ents = tuple(entourages)
         if not ents:
             raise DomainError("a sequence needs at least one entourage")
         if any(e.points != ents[0].points for e in ents):
@@ -231,8 +225,9 @@ def load_sequence(path) -> EntourageSequence:
     if not isinstance(obj, list) or any(not isinstance(p, str) for p in obj):
         raise FormatError("sequence file must be a JSON array of file paths")
     base = os.path.dirname(os.path.abspath(path))
-    return EntourageSequence(tuple(load_entourage(os.path.join(base, rel))
-                                   for rel in obj))
+    paths = [os.path.join(base, rel) for rel in obj]
+    loaded = {p: load_entourage(p) for p in dict.fromkeys(paths)}
+    return EntourageSequence(tuple(loaded[p] for p in paths))
 
 
 def composition_contained(seq: EntourageSequence, k: int,
@@ -294,18 +289,16 @@ def frink_metric(seq: EntourageSequence) -> QPSpace:
     return QPSpace(points, tuple(tuple(row) for row in dist))
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Value):
     """Finite topology: points plus a family of open sets closed under
     union and intersection and containing the empty and full sets."""
 
-    points: tuple[str, ...]
-    opens: tuple[frozenset[str], ...]
+    _fields = ("points", "opens")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", validate_symbols(self.points))
-        family = {frozenset(o) for o in self.opens}
-        universe = frozenset(self.points)
+    def __init__(self, points, opens) -> None:
+        points = validate_symbols(points)
+        family = {frozenset(o) for o in opens}
+        universe = frozenset(points)
         for o in family:
             if not o <= universe:
                 raise DomainError(f"open set {sorted(o)} leaves the point set")
@@ -319,7 +312,7 @@ class FiniteSpace:
                 raise DomainError(
                     f"opens not closed under intersection: {sorted(a)} & {sorted(b)}")
         canon = tuple(sorted(family, key=lambda o: (len(o), sorted(o))))
-        object.__setattr__(self, "opens", canon)
+        super().__init__(points, canon)
 
     def minimal_open(self, x: str) -> frozenset[str]:
         if x not in self.points:
@@ -385,26 +378,22 @@ def entourage_metric(space: FiniteSpace, v: Entourage) -> QPSpace:
     return rho.scale(Fraction(4)).cap_at_one()
 
 
-@dataclass(frozen=True)
-class PrefixDecomposition:
+class PrefixDecomposition(Value):
     """Alternating difference pairs, one from each of the first k
     entourages in order."""
 
-    k: int
-    pairs: tuple[tuple[str, str], ...]
+    _fields = ("k", "pairs")
 
     def __str__(self) -> str:
         body = " ".join(f"({x},{y})" for x, y in self.pairs)
         return f"k={self.k} pairs=[{body}]"
 
 
-@dataclass(frozen=True)
-class SubsetDecomposition:
+class SubsetDecomposition(Value):
     """Alternating difference pairs over distinct sequence positions
     (1-based in display and in the stored tuple)."""
 
-    positions: tuple[int, ...]
-    pairs: tuple[tuple[str, str], ...]
+    _fields = ("positions", "pairs")
 
     def __str__(self) -> str:
         body = " ".join(f"({x},{y})" for x, y in self.pairs)

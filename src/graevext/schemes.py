@@ -10,26 +10,24 @@ the n-th Catalan number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded, DomainError
 from .qpspace import QPSpace, signed_extension
-from .words import Letter, Word
+from .words import Letter, Value, Word
 
 DEFAULT_SCHEME_CAP = 10
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(Value):
     """A non-crossing perfect pairing, stored as sorted (a, b) pairs."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self) -> None:
-        pairs = tuple(sorted((int(a), int(b)) for a, b in self.pairs))
+    def __init__(self, pairs) -> None:
+        pairs = tuple(sorted((int(a), int(b)) for a, b in pairs))
         problem = _pairing_problem(pairs)
         if problem is not None:
             raise DomainError(f"not a scheme: {problem}")

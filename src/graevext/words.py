@@ -23,7 +23,7 @@ reserved for the neutral letter and cannot be a generator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import DomainError, FormatError
@@ -52,19 +52,62 @@ def validate_symbols(symbols: Iterable[str]) -> tuple[str, ...]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Letter:
+class Value:
+    """Immutable value of the fields named in ``_fields``, one positional
+    argument each: equal to a value of its own class with equal fields,
+    hashed by them, shown as ``Name(field=value, ...)``.  Assigning and
+    deleting raise; ``cached_property`` writes to ``__dict__`` directly."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self._fields))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Letter(Value):
     """A signed generator, or the neutral letter when ``gen`` is None."""
 
-    gen: str | None
-    sign: int = 1
+    __slots__ = _fields = ("gen", "sign")
 
-    def __post_init__(self) -> None:
-        if self.gen is None:
-            if self.sign != 0:
+    def __init__(self, gen, sign=1) -> None:
+        if gen is None:
+            if sign != 0:
                 raise DomainError("the neutral letter carries no sign")
-        elif self.sign not in (-1, 1):
-            raise DomainError(f"letter sign must be +1 or -1, got {self.sign}")
+        elif sign not in (-1, 1):
+            raise DomainError(f"letter sign must be +1 or -1, got {sign}")
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "sign", sign)
+
+    def __eq__(self, other):  # written out: the norm searches run it
+        return (self.gen == other.gen and self.sign == other.sign
+                if other.__class__ is Letter else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.gen, self.sign))
 
     @classmethod
     def neutral(cls) -> "Letter":
@@ -86,14 +129,13 @@ class Letter:
         return self.token()
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(Value):
     """A finite sequence of letters; the empty word is the group identity."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self) -> None:
-        letters = tuple(self.letters)
+    def __init__(self, letters=()) -> None:
+        letters = tuple(letters)
         if any(not isinstance(l, Letter) for l in letters):
             raise DomainError("words are built from Letter values")
         object.__setattr__(self, "letters", letters)
@@ -193,15 +235,14 @@ def in_length_ball(word: Word, n: int) -> bool:
     return word.reduced_length() <= n
 
 
-@dataclass(frozen=True, slots=True)
-class AbelianWord:
+class AbelianWord(Value):
     """Element of the free abelian group: sorted (generator, exponent)
     terms with all exponents nonzero; the identity has no terms."""
 
-    terms: tuple[tuple[str, int], ...] = ()
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self) -> None:
-        terms = tuple((g, int(m)) for g, m in self.terms)
+    def __init__(self, terms=()) -> None:
+        terms = tuple((g, int(m)) for g, m in terms)
         gens = [g for g, _ in terms]
         if gens != sorted(gens) or len(set(gens)) != len(gens):
             raise DomainError("terms must be sorted by generator and unique")

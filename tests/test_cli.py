@@ -355,9 +355,11 @@ def test_wmember_unreachable_is_refused_quickly(capsys, tmp_path, bound,
 
 
 def _modules_loaded(*argv):
-    """The package modules that one command loads in a fresh interpreter."""
+    """The package modules that one command loads in a fresh interpreter,
+    and ``dataclasses`` and ``inspect`` if it loads them."""
     script = ("import sys\nfrom graevext.cli import main\nmain(sys.argv[1:])\n"
-              "print(*sorted(m for m in sys.modules if m.startswith('graevext')))")
+              "print(*sorted(m for m in sys.modules if m.startswith('graevext')"
+              " or m in ('dataclasses', 'inspect')))")
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -372,12 +374,14 @@ def test_commands_import_only_what_they_run(tmp_path):
     chain = _write_chain(tmp_path, "seq.json", ["u.json"])
     for argv, needed, unused in (
             (["validate", "--space", SPACE], "qpspace", ("quniform", "norms")),
+            (["norm", "--space", SPACE, "--word", "a b^-1"], "norms", ("quniform",)),
             (["schemes", "--n", "3"], "schemes", ("quniform", "norms")),
             (["wmember", "--word", "-x + y", "--seq", str(chain), "--n", "1"],
              "quniform", ("norms",))):
         loaded = _modules_loaded(*argv)
         assert f"graevext.{needed}" in loaded, argv
         assert not loaded & {f"graevext.{m}" for m in unused}, argv
+        assert not loaded & {"dataclasses", "inspect"}, argv
 
 
 def test_output_values_reparse(capsys):

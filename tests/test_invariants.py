@@ -1,8 +1,10 @@
 """Invariants of the package source, checked on its syntax trees: it
 imports nothing outside the standard library and itself, because it has
 no runtime dependencies; it never uses floats, because every value it
-computes is exact; and its front modules, ``__init__`` and ``cli``, load
-no other module of the package until a name or a command needs it."""
+computes is exact; its front modules, ``__init__`` and ``cli``, load no
+other module of the package until a name or a command needs it; and no
+module imports ``dataclasses``, which with ``inspect`` would cost every
+command line call its import and its class generation."""
 
 import ast
 import sys
@@ -23,19 +25,28 @@ def test_sources_found():
     assert {p.name for p in SOURCES} >= {"norms.py", "qpspace.py", "words.py"}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_imports_stdlib_or_package_only(path):
+def _imports(path):
+    """(line, module) for each absolute import in the source."""
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            yield from ((node.lineno, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        for module in modules:
-            top = module.split(".")[0]
-            assert top in sys.stdlib_module_names or top == "graevext", \
-                f"{path.name}:{node.lineno} imports {module}"
+            yield node.lineno, node.module
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_stdlib_or_package_only(path):
+    for line, module in _imports(path):
+        top = module.split(".")[0]
+        assert top in sys.stdlib_module_names or top == "graevext", \
+            f"{path.name}:{line} imports {module}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    for line, module in _imports(path):
+        assert module.split(".")[0] != "dataclasses", \
+            f"{path.name}:{line} imports {module}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -29,6 +29,23 @@ def test_entourage_requires_reflexive():
         Entourage(("x",), ())
 
 
+def test_load_sequence_reads_each_file_once(tmp_path, monkeypatch):
+    for name, pairs in (("u.json", [("x", "y")]), ("v.json", [])):
+        (tmp_path / name).write_text(json.dumps(
+            Entourage.from_pairs(("x", "y"), pairs).to_json_dict()))
+    (tmp_path / "seq.json").write_text(
+        json.dumps(["u.json", "v.json", "u.json", "u.json"]))
+    reads = []
+    read_json = quniform.read_json
+    monkeypatch.setattr(quniform, "read_json",
+                        lambda path: reads.append(path) or read_json(path))
+    seq = quniform.load_sequence(tmp_path / "seq.json")
+    assert len(reads) == 1 + 2
+    assert [e is seq[0] for e in seq] == [True, False, True, True]
+    assert seq[1] == Entourage.diagonal(("x", "y"))
+    assert seq[0] == Entourage.from_pairs(("x", "y"), [("x", "y")])
+
+
 def test_entourage_builders():
     diag = Entourage.diagonal(PTS)
     assert sorted(diag.pairs()) == [("x", "x"), ("y", "y"), ("z", "z")]
