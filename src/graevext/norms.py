@@ -96,9 +96,9 @@ import math
 from fractions import Fraction
 
 from .errors import CapExceeded, DomainError
-from .qpspace import QPSpace, check_generators
+from .qpspace import QPSpace
 from .schemes import Scheme, arc_cost, pairing_cost
-from .words import AbelianWord, Letter, Value, Word
+from .words import AbelianWord, Letter, Value, Word, check_generators
 
 DEFAULT_FREE_CAP = 6
 DEFAULT_ABELIAN_CAP = 12

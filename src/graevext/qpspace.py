@@ -30,8 +30,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import le
+from .documents import check_document, read_json
 from .errors import DomainError, FormatError
-from .words import Letter, Value, validate_symbols
+from .words import Letter, Value, check_generators, validate_symbols
 
 ONE = Fraction(1)
 TWO = Fraction(2)
@@ -243,48 +244,8 @@ def _entry(value, i: int, j: int) -> Fraction:
         raise FormatError(f"dist[{i}][{j}]: {exc}") from None
 
 
-def check_document(obj, kind: str, required, optional=()) -> None:
-    """Raise ``FormatError`` unless ``obj`` is a JSON object with every
-    required field and no field but the optional ones, its ``points`` a
-    list and every other required field a list of lists."""
-    if not isinstance(obj, dict):
-        raise FormatError(f"{kind} document must be a JSON object")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise FormatError(f"unknown {kind} fields: {sorted(unknown)}")
-    if any(field not in obj for field in required):
-        raise FormatError(f"{kind} document needs fields {list(required)}")
-    if not isinstance(obj["points"], list):
-        raise FormatError("'points' must be a list of symbols")
-    for field in required:
-        rows = obj[field]
-        if field != "points" and (not isinstance(rows, list) or any(
-                not isinstance(row, list) for row in rows)):
-            raise FormatError(f"{field!r} must be a list of lists")
-
-
-def read_json(path):
-    """Parse a UTF-8 JSON file; bytes that are not UTF-8, malformed JSON,
-    integers past Python's digit limit and nesting past the recursion
-    limit all raise ``FormatError``."""
-    import json
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-
-
 def load_space(path) -> QPSpace:
     return QPSpace.from_json_dict(read_json(path))
-
-
-def check_generators(space: QPSpace, gens) -> None:
-    """Raise ``DomainError`` for the first generator symbol that is not a
-    point of the space; None, the neutral letter's generator, passes."""
-    for gen in gens:
-        if gen is not None and gen not in space.index:
-            raise DomainError(f"unknown generator {gen!r}")
 
 
 def neutral_extension(space: QPSpace, p: Letter, q: Letter) -> Fraction:

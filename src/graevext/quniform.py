@@ -51,14 +51,16 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from .documents import check_document, read_json
 from .errors import DomainError, FormatError
-from .qpspace import QPSpace, check_document, check_generators, read_json
-from .words import AbelianWord, Value, validate_symbols
+from .words import AbelianWord, Value, check_generators, validate_symbols
+
+if TYPE_CHECKING:
+    from .qpspace import QPSpace
 
 
 class Entourage(Value):
@@ -220,13 +222,21 @@ def load_entourage(path) -> Entourage:
 
 
 def load_sequence(path) -> EntourageSequence:
-    """Read a JSON array of entourage file paths, relative to the file."""
+    """Read a JSON array of entourage file paths, relative to the file.
+    Each file is read once, by its real path (``os.path.realpath``),
+    however many times or ways the array names it."""
     obj = read_json(path)
     if not isinstance(obj, list) or any(not isinstance(p, str) for p in obj):
         raise FormatError("sequence file must be a JSON array of file paths")
     base = os.path.dirname(os.path.abspath(path))
     paths = [os.path.join(base, rel) for rel in obj]
-    loaded = {p: load_entourage(p) for p in dict.fromkeys(paths)}
+    files = {}
+    loaded = {}
+    for name in dict.fromkeys(paths):
+        real = os.path.realpath(name)
+        if real not in files:
+            files[real] = load_entourage(real)
+        loaded[name] = files[real]
     return EntourageSequence(tuple(loaded[p] for p in paths))
 
 
@@ -240,6 +250,7 @@ def composition_contained(seq: EntourageSequence, k: int,
     always holds; the point of the operation is to compute it anyway and
     expose any broken input.
     """
+    from fractions import Fraction
     seq.ensure_tripling_chain()
     if not ks:
         raise DomainError("need at least one composition index")
@@ -266,6 +277,9 @@ def frink_metric(seq: EntourageSequence) -> QPSpace:
     satisfies ``V_i <= {d <= 2^-i} <= V_(i-1)`` for 1 <= i <= m-1, and the
     left inclusion for every i.
     """
+    from fractions import Fraction
+
+    from .qpspace import QPSpace
     seq.ensure_frink_chain()
     points = seq.points
     n = len(points)
@@ -368,6 +382,7 @@ def entourage_metric(space: FiniteSpace, v: Entourage) -> QPSpace:
     ``v`` in the chain and caps at 1.  Requires ``v`` to contain the
     universal base relation.
     """
+    from fractions import Fraction
     if v.points != space.points:
         raise DomainError("entourage and topology use different point lists")
     base = universal_base(space)

@@ -52,6 +52,15 @@ def validate_symbols(symbols: Iterable[str]) -> tuple[str, ...]:
     return out
 
 
+def check_generators(space, gens) -> None:
+    """Raise ``DomainError`` for the first generator symbol that is not a
+    point of ``space`` (a space or an entourage, through its ``index``);
+    None, the neutral letter's generator, passes."""
+    for gen in gens:
+        if gen is not None and gen not in space.index:
+            raise DomainError(f"unknown generator {gen!r}")
+
+
 class Value:
     """Immutable value of the fields named in ``_fields``, one positional
     argument each: equal to a value of its own class with equal fields,

@@ -6,8 +6,9 @@ unfiltered enumeration, space validation is the plain triple loop over
 exact fractions, the free-group norm enumerates candidate words
 and pairings outright, and decompositions over entourage sequences try
 every choice of levels and pairs.  The former exhaustive free-norm walk
-is kept here too, as a second free-norm oracle.  Slow, simple, and only
-for tests.
+is kept here too, as a second free-norm oracle.  The command line's
+former argparse parser is the reference for its table parser.  Slow,
+simple, and only for tests.
 """
 
 import itertools
@@ -506,3 +507,96 @@ def _constrained_witness(ctx: _EngineContext, value: int) -> int:
     return found
 
 
+# ---- the command line ----------------------------------------------------
+# argparse and the CLI are imported only inside build_parser, so the
+# benchmark, which loads this module, loads neither.
+
+def _add_space_options(sub):
+    sub.add_argument("--space", required=True, help="space file (JSON)")
+    sub.add_argument("--cap-at-one", action="store_true",
+                     help="replace every distance above 1 by 1 before use")
+    sub.add_argument("--cap", type=int, default=None,
+                     help="override the search cap")
+    sub.add_argument("--abelian", action="store_true")
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The argparse parser that ``graevext.cli`` used before its table:
+    the reference for ``cli.parse_args``."""
+    import argparse
+
+    from graevext.cli import (cmd_dist, cmd_frink, cmd_lemma5, cmd_member,
+                              cmd_norm, cmd_schemes, cmd_ubase, cmd_validate,
+                              cmd_wmember)
+    parser = argparse.ArgumentParser(
+        prog="graevext",
+        description="Exact norms, distances and neighborhood checks on free "
+                    "and free abelian groups over finite quasi-pseudometric "
+                    "spaces.")
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    p = subs.add_parser("validate", help="check the space axioms")
+    p.add_argument("--space", required=True)
+    p.add_argument("--bounded", action="store_true",
+                   help="also require every distance to be at most 1")
+    p.set_defaults(func=cmd_validate)
+
+    p = subs.add_parser("norm", help="norm of a group element")
+    _add_space_options(p)
+    p.add_argument("--word", required=True)
+    p.add_argument("--witness", action="store_true",
+                   help="also print the minimizing witness")
+    p.set_defaults(func=cmd_norm)
+
+    p = subs.add_parser("dist", help="distance between two group elements")
+    _add_space_options(p)
+    p.add_argument("--from", dest="src", required=True)
+    p.add_argument("--to", dest="dst", required=True)
+    p.add_argument("--witness", action="store_true")
+    p.set_defaults(func=cmd_dist)
+
+    p = subs.add_parser("member", help="strict norm ball membership")
+    _add_space_options(p)
+    p.add_argument("--word", required=True)
+    p.add_argument("--eps", required=True)
+    p.set_defaults(func=cmd_member)
+
+    p = subs.add_parser("schemes",
+                        help="list the non-crossing pairings of 1..2n")
+    p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func=cmd_schemes)
+
+    p = subs.add_parser("frink",
+                        help="build the chain quasi-pseudometric of an "
+                             "entourage sequence")
+    p.add_argument("--chain", required=True,
+                   help="JSON array of entourage file paths")
+    p.set_defaults(func=cmd_frink)
+
+    p = subs.add_parser("lemma5",
+                        help="check a composed containment in a tripling chain")
+    p.add_argument("--chain", required=True)
+    p.add_argument("--k", type=int, required=True,
+                   help="0-based position of the containing entourage")
+    p.add_argument("--ks", required=True,
+                   help="comma-separated 0-based positions to compose")
+    p.set_defaults(func=cmd_lemma5)
+
+    p = subs.add_parser("ubase",
+                        help="universal base relation of a finite T0 topology")
+    p.add_argument("--topology", required=True)
+    p.set_defaults(func=cmd_ubase)
+
+    p = subs.add_parser("wmember",
+                        help="decompose an abelian element into difference "
+                             "pairs from an entourage sequence")
+    p.add_argument("--word", required=True)
+    p.add_argument("--seq", required=True)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n", type=int,
+                       help="pairs over at most n distinct positions")
+    group.add_argument("--kmax", type=int,
+                       help="one pair per leading entourage, up to k pairs")
+    p.set_defaults(func=cmd_wmember)
+
+    return parser

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from graevext import parse_rational
-from graevext.cli import main
+from graevext.cli import COMMANDS, main
 
 DATA = Path(__file__).parent / "data"
 SPACE = str(DATA / "two_point.json")
@@ -237,6 +237,12 @@ def test_unknown_subcommand(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert len(COMMANDS) == 9
+    assert all(f"  {name} " in out for name in COMMANDS)
+    for name in COMMANDS:
+        assert main([name, "-h"]) == 0, name
+        assert capsys.readouterr().out.startswith(f"usage: graevext {name} ")
 
 
 def _write_entourage(path, points, pairs):
@@ -354,12 +360,18 @@ def test_wmember_unreachable_is_refused_quickly(capsys, tmp_path, bound,
     assert time.perf_counter() - start < 2
 
 
+# modules that no command should need, or that some commands should not
+WATCHED = ("argparse", "gettext", "locale", "fractions", "dataclasses",
+           "inspect")
+
+
 def _modules_loaded(*argv):
-    """The package modules that one command loads in a fresh interpreter,
-    and ``dataclasses`` and ``inspect`` if it loads them."""
-    script = ("import sys\nfrom graevext.cli import main\nmain(sys.argv[1:])\n"
+    """The package modules that one command, which must exit 0, loads in
+    a fresh interpreter, and those of ``WATCHED`` that it loads."""
+    script = ("import sys\nfrom graevext.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
               "print(*sorted(m for m in sys.modules if m.startswith('graevext')"
-              " or m in ('dataclasses', 'inspect')))")
+              f" or m in {WATCHED!r}))")
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -370,18 +382,39 @@ def _modules_loaded(*argv):
 
 
 def test_commands_import_only_what_they_run(tmp_path):
+    """Each command loads the module it runs and not those it has no use
+    for; none loads argparse, the gettext and locale that argparse
+    imports, dataclasses or inspect."""
     _write_entourage(tmp_path / "u.json", ("x", "y"), [("x", "y")])
-    chain = _write_chain(tmp_path, "seq.json", ["u.json"])
+    seq = _write_chain(tmp_path, "seq.json", ["u.json"])
+    (tmp_path / "full.json").write_text(json.dumps(
+        {"points": ["x", "y"], "relation": [[1, 1], [1, 1]]}))
+    _write_entourage(tmp_path / "diag.json", ("x", "y"), [])
+    chain = _write_chain(tmp_path, "chain.json", ["full.json", "diag.json"])
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({"points": ["a", "b"],
+                                "opens": [[], ["a"], ["a", "b"]]}))
+    quniform, norms, qpspace = (f"graevext.{m}" for m in
+                                ("quniform", "norms", "qpspace"))
+    entourage_only = (norms, qpspace, "fractions")
     for argv, needed, unused in (
-            (["validate", "--space", SPACE], "qpspace", ("quniform", "norms")),
-            (["norm", "--space", SPACE, "--word", "a b^-1"], "norms", ("quniform",)),
-            (["schemes", "--n", "3"], "schemes", ("quniform", "norms")),
-            (["wmember", "--word", "-x + y", "--seq", str(chain), "--n", "1"],
-             "quniform", ("norms",))):
+            (["validate", "--space", SPACE], qpspace, (quniform, norms)),
+            (["norm", "--space", SPACE, "--word", "a b^-1"], norms, (quniform,)),
+            (["dist", "--space", SPACE, "--from", "a", "--to", "b"], norms,
+             (quniform,)),
+            (["member", "--space", SPACE, "--word", "a", "--eps", "1"], norms,
+             (quniform,)),
+            (["schemes", "--n", "3"], "graevext.schemes", (quniform, norms)),
+            (["frink", "--chain", str(chain)], quniform, (norms,)),
+            (["lemma5", "--chain", str(chain), "--k", "0", "--ks", "1"],
+             quniform, (norms, qpspace)),
+            (["ubase", "--topology", str(topo)], quniform, entourage_only),
+            (["wmember", "--word", "-x + y", "--seq", str(seq), "--n", "1"],
+             quniform, entourage_only)):
         loaded = _modules_loaded(*argv)
-        assert f"graevext.{needed}" in loaded, argv
-        assert not loaded & {f"graevext.{m}" for m in unused}, argv
-        assert not loaded & {"dataclasses", "inspect"}, argv
+        assert needed in loaded, argv
+        assert not loaded & {*unused, "argparse", "gettext", "locale",
+                             "dataclasses", "inspect"}, argv
 
 
 def test_output_values_reparse(capsys):

@@ -3,8 +3,10 @@
 Whatever the files and arguments, ``main`` returns 0, 1 or 2 and raises
 nothing.  The inputs come from one seeded ``random.Random`` per test:
 random bytes, truncated and mangled JSON, deep nesting, integers past
-Python's digit limit, huge abelian exponents, and zero, negative or
-malformed caps, radii, bounds and indices.  Free words keep small
+Python's digit limit, huge abelian exponents, zero, negative or
+malformed caps, radii, bounds and indices, and mangled argument lists:
+option prefixes, ``--opt=value`` joined or split, values dropped or
+added, and unknown or abbreviated commands.  Free words keep small
 exponents, because ``parse_word`` expands ``sym^k`` letter by letter
 before any cap is checked.  Long sequences name only the diagonal: a miss
 over a long sequence of entourages with more pairs still takes seconds.
@@ -19,6 +21,8 @@ SEED = 8
 CALLS = 250
 CHAIN_SEED = 9
 CHAIN_CALLS = 120
+MANGLE_SEED = 16
+MANGLE_CALLS = 200
 LONG = "9" * 5000
 POINTS = ["a", "b", "c"]
 
@@ -218,3 +222,41 @@ def test_chain_commands_exit_codes_on_random_input(capsys, tmp_path):
         codes.append(code)
     capsys.readouterr()
     assert set(codes) == {0, 1}
+
+
+def _mangle(rng, argv):
+    """``argv`` with one to three of its arguments spelled wrong."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(argv))
+        token = argv[i]
+        roll = rng.randrange(6)
+        name, equals, value = token.partition("=")
+        if roll == 0 and name.startswith("--") and len(name) > 3:
+            argv[i] = name[:rng.randint(3, len(name))] + equals + value
+        elif roll == 1 and "=" in token:
+            argv[i:i + 1] = token.split("=", 1)
+        elif roll == 2 and token.startswith("--") and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{token}={argv[i + 1]}"]
+        elif roll == 3 and i > 0:
+            del argv[i]
+        elif roll == 4:
+            argv.insert(i + 1, rng.choice(["x", "-1", "7", "--", "-x", "",
+                                           "--bogus", "a b"]))
+        elif roll == 5:
+            argv[0] = rng.choice(["nosuch", argv[0][:2], argv[0] + "x", "",
+                                  "-" + argv[0]])
+    return argv
+
+
+def test_mangled_argument_lists_exit_codes(capsys, tmp_path):
+    rng = random.Random(MANGLE_SEED)
+    codes = []
+    for i in range(MANGLE_CALLS):
+        build = _argv if rng.random() < 0.5 else _chain_argv
+        argv = _mangle(rng, build(rng, tmp_path, i))
+        code = main(argv)
+        assert code in (0, 1, 2), argv
+        codes.append(code)
+    capsys.readouterr()
+    assert {0, 1} <= set(codes)

@@ -45,6 +45,19 @@ def test_load_sequence_reads_each_file_once(tmp_path, monkeypatch):
     assert seq[1] == Entourage.diagonal(("x", "y"))
     assert seq[0] == Entourage.from_pairs(("x", "y"), [("x", "y")])
 
+    # one file named two ways is still read once
+    (tmp_path / "full.json").write_text(json.dumps(
+        Entourage.full(("x", "y")).to_json_dict()))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "aliases.json").write_text(json.dumps(
+        ["full.json", "./full.json", "u.json", "sub/../u.json"]))
+    reads.clear()
+    seq = quniform.load_sequence(tmp_path / "aliases.json")
+    assert len(reads) == 1 + 2
+    assert seq[0] is seq[1] and seq[2] is seq[3]
+    assert seq[0].is_full() and seq[2] == Entourage.from_pairs(
+        ("x", "y"), [("x", "y")])
+
 
 def test_entourage_builders():
     diag = Entourage.diagonal(PTS)
