@@ -70,21 +70,24 @@ instead costs at most 2.  Nor does it keep a same-sign pair together
 with a neutral pair of the other sign (cost 3 against at most 2).
 Hence every letter of the shorter sign class is paired across, and each
 excess letter of the longer one pays exactly 1, whether paired with
-another excess letter or with the neutral letter.  The norm is the least cost of
-an assignment of the shorter class into the longer one at d(x, y), plus
-the number of excess letters: a rectangular assignment problem (Kuhn's
-Hungarian method, Naval Res. Logist. Q. 1955), solved exactly over
-Fractions by shortest augmenting paths, O(s^2 l) for s rows and l
-columns.  A balanced element (coefficient sum zero) has no excess
-letters, so its assignment needs no bound on d: ``abelian_norm_balanced``
-computes it over any valid space.
+another excess letter or with the neutral letter.  The norm is therefore
+the least cost of shipping the negative coefficients of h into the
+positive ones, one node per generator and one unit per letter, where a
+unit from x to y costs d(x, y), plus one for each unit left unshipped: a
+transportation problem, which ``flow.min_cost_flow`` solves exactly by
+successive shortest paths on the exact ``Fraction`` distances.  A
+balanced element (coefficient sum zero) has no unshipped units, so its
+transport needs no bound on d: ``abelian_norm_balanced`` computes it
+over any valid space.
 
-The abelian witness lists, for each negative letter x^-1 of h in term
-order, the pair (x, y) with its assigned positive letter y; then the
-excess letters in term order, two at a time as (u^-1, v) at cost 2, and
-an odd last one as (u^-1, e) at cost 1.  Among assignments of equal
-cost, the one the solver reaches (rows added in term order) is reported.
-The exhaustive pairing search is kept in the test suite as an oracle.
+The abelian witness lists, for each negative generator x of h in term
+order, its flow to each positive generator y in term order, one pair
+(x, y) per unit; then the unshipped letters in term order, two at a time
+as (u^-1, v) at cost 2, and an odd last one as (u^-1, e) at cost 1.
+Among flows of equal cost, the one the kernel reaches (ties to the first
+nearest positive generator in term order) is reported.  The witness is
+priced again with ``signed_extension`` before it is returned.  The
+exhaustive pairing search is kept in the test suite as an oracle.
 
 All caps are plain size guards; exceeding one raises ``CapExceeded``
 instead of silently truncating the search.
@@ -96,7 +99,8 @@ import math
 from fractions import Fraction
 
 from .errors import CapExceeded, DomainError
-from .qpspace import QPSpace
+from .flow import min_cost_flow
+from .qpspace import QPSpace, signed_extension
 from .schemes import Scheme, arc_cost, pairing_cost
 from .words import AbelianWord, Letter, Value, Word, check_generators
 
@@ -214,8 +218,8 @@ def abelian_norm(space: QPSpace, h: AbelianWord,
                  cap: int = DEFAULT_ABELIAN_CAP) -> tuple[Fraction, PairingWitness]:
     """Exact abelian norm of h with a minimizing oriented pairing.
 
-    Needs a space bounded by 1, where the assignment of the module
-    docstring is exact; the witness order is given there too.
+    Needs a space bounded by 1, where the flow of the module docstring
+    is exact; the witness order is given there too.
     """
     space.ensure_valid(require_bounded=True)
     check_generators(space, h.generators())
@@ -227,11 +231,11 @@ def abelian_norm(space: QPSpace, h: AbelianWord,
 
 def abelian_norm_balanced(space: QPSpace,
                           h: AbelianWord) -> tuple[Fraction, PairingWitness]:
-    """Abelian norm of a balanced element via exact bipartite assignment.
+    """Abelian norm of a balanced element via an exact min-cost flow.
 
-    Matches the multiset of negatively signed generators against the
-    positively signed ones at the original distance.  The same route as
-    ``abelian_norm``, but with no excess letters it is also meaningful
+    Ships the negative coefficients into the positive ones at the
+    original distance, with no cap on the exponents.  The same route as
+    ``abelian_norm``, but with no unshipped units it is also meaningful
     for unbounded valid spaces.
     """
     space.ensure_valid()
@@ -244,27 +248,28 @@ def abelian_norm_balanced(space: QPSpace,
 
 def _abelian_match(space: QPSpace,
                    h: AbelianWord) -> tuple[Fraction, PairingWitness]:
-    """Assign the shorter sign class of h into the longer one; each excess
-    letter pays 1.  Value and witness order as in the module docstring."""
-    letters = h.letters()
-    sources = [l for l in letters if l.sign < 0]
-    targets = [l for l in letters if l.sign > 0]
-    if len(sources) <= len(targets):
-        value, match = _assignment_min(
-            [[space.d(x.gen, y.gen) for y in targets] for x in sources])
-        partner = dict(enumerate(match))
-    else:
-        value, match = _assignment_min(
-            [[space.d(x.gen, y.gen) for x in sources] for y in targets])
-        partner = {i: j for j, i in enumerate(match)}
-    pairs = [(sources[i].inverse(), targets[partner[i]]) for i in sorted(partner)]
-    taken = set(partner.values())
-    excess = ([x for i, x in enumerate(sources) if i not in partner]
-              + [y for j, y in enumerate(targets) if j not in taken])
-    value += len(excess)
+    """Ship the negative coefficients of h into the positive ones at
+    d(x, y); each unshipped unit pays 1.  Value and witness order as in
+    the module docstring.  Raises ``AssertionError`` if the witness does
+    not price to the value."""
+    supply = {x: -m for x, m in h.terms if m < 0}
+    demand = {y: m for y, m in h.terms if m > 0}
+    flow, _ = min_cost_flow(supply, demand, {(x, y): space.d(x, y)
+                                             for x in supply for y in demand})
+    pairs = []
+    left = dict(h.terms)
+    for (x, y), units in flow.items():
+        pairs += [(Letter(x, 1), Letter(y, 1))] * units
+        left[x] += units
+        left[y] -= units
+    excess = list(AbelianWord.from_mapping(left).letters())
+    value = sum((space.d(x, y) * units for (x, y), units in flow.items()),
+                Fraction(len(excess)))
     if len(excess) % 2:
         excess.append(Letter.neutral())
     pairs += [(u.inverse(), v) for u, v in zip(excess[::2], excess[1::2])]
+    if sum((signed_extension(space, u, v) for u, v in pairs), Fraction(0)) != value:
+        raise AssertionError(f"abelian witness does not price to {value}")
     return value, PairingWitness(tuple(pairs), value)
 
 
@@ -295,62 +300,3 @@ def ball_member(space: QPSpace, g, eps: Fraction, cap: int | None = None) -> boo
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     return norm(space, g, cap)[0] < eps
-
-
-def _assignment_min(cost: list[list[Fraction]]) -> tuple[Fraction, list[int]]:
-    """Minimum-cost matching of every row to a distinct column, for a
-    rational matrix with no more rows than columns.
-
-    Potential-based shortest augmenting paths; exact because every
-    intermediate quantity stays a Fraction.  Returns the total cost and
-    the column matched to each row.
-    """
-    n = len(cost)
-    m = len(cost[0]) if cost else 0
-    if any(len(row) != m for row in cost) or n > m:
-        raise DomainError("assignment matrix needs rows of one length, "
-                          "no more rows than columns")
-    infinity = sum((x for row in cost for x in row), Fraction(0)) + 1
-    u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (m + 1)
-    p = [0] * (m + 1)
-    way = [0] * (m + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [infinity] * (m + 1)
-        used = [False] * (m + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = infinity
-            j1 = 0
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    match = [0] * n
-    for j in range(1, m + 1):
-        if p[j]:
-            match[p[j] - 1] = j - 1
-    total = sum((cost[i][match[i]] for i in range(n)), Fraction(0))
-    return total, match

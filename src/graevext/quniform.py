@@ -29,16 +29,15 @@ sum of g's coefficients over O.  A pair -x + y adds -[x in O] + [y in O]
 >= 0 to g(O), so if g(O) < 0 for one up-closed O, no sum of pairs from R
 equals g.  Gale's feasibility theorem (D. Gale, "A theorem on flows in
 networks", Pacific J. Math. 1957; A. J. Hoffman 1960) gives the
-converse for sums of any length, and one exact integer max-flow decides
-between the two.  The network has a source, a sink and one node per
-point: the source feeds each x with g(x) < 0 at capacity -g(x), each y
-with g(y) > 0 feeds the sink at capacity g(y), and each pair of R is an
-arc with no capacity limit.  If the flow reaches the negative mass of g,
-its paths from source to sink telescope into a sum of R-pairs equal to
-g, and the search decides whether such a sum fits the bound and the
-one-pair-per-level rule.  If it falls short, the points the source
-still reaches in the residual network form a set O that no unlimited
-arc leaves, so O is up-closed, and g(O) = flow - (negative mass) < 0.
+converse for sums of any length, and one flow (``flow.min_cost_flow``,
+every arc at cost 0) decides between the two.  Each x with g(x) < 0
+supplies -g(x), each y with g(y) > 0 demands g(y), and each pair of R is
+an arc with no capacity limit.  If the flow ships the negative mass of
+g, its paths telescope into a sum of R-pairs equal to g, and the search
+decides whether such a sum fits the bound and the one-pair-per-level
+rule.  If supply is left, the points it still reaches in the residual
+network form a set O that no arc leaves, so O is up-closed, and
+g(O) = flow - (negative mass) < 0.
 
 File formats (JSON): an entourage file mirrors the space file, with
 ``points`` and a 0/1 ``relation`` matrix (reflexivity is validated, never
@@ -50,13 +49,13 @@ and an ``opens`` list of point lists.
 from __future__ import annotations
 
 import os
-from collections import deque
 from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .documents import check_document, read_json
 from .errors import DomainError, FormatError
+from .flow import min_cost_flow
 from .words import AbelianWord, Value, check_generators, validate_symbols
 
 if TYPE_CHECKING:
@@ -456,59 +455,12 @@ def _cut(g: AbelianWord,
          levels: list[list[tuple[str, str]]]) -> frozenset[str] | None:
     """An up-closed set O of points with g(O) < 0, for the pairs R of
     ``levels``, which proves that no sum of R-pairs equals g; None when
-    the max-flow shows that some sum does (module docstring).  g's
-    coefficients must sum to 0.
-
-    Edmonds-Karp: each augmenting path is a shortest one, found by one
-    breadth-first search from every point the source still feeds."""
-    arcs: dict[str, dict[str, None]] = {}
-    back: dict[str, dict[str, None]] = {}
-    for level in levels:
-        for x, y in level:
-            if x != y:
-                arcs.setdefault(x, {})[y] = None
-                back.setdefault(y, {})[x] = None
-    supply = {x: -m for x, m in g.terms if m < 0}
-    demand = {y: m for y, m in g.terms if m > 0}
-    sent: dict[tuple[str, str], int] = {}
-    while any(supply.values()):
-        # reached point -> (previous point, +1 along an arc of R, -1 back
-        # along one that carries flow); None for a point the source feeds
-        parent = {x: None for x, left in supply.items() if left}
-        queue = deque(parent)
-        end = None
-        while queue:
-            x = queue.popleft()
-            if demand.get(x):
-                end = x
-                break
-            for y in arcs.get(x, ()):
-                if y not in parent:
-                    parent[y] = (x, 1)
-                    queue.append(y)
-            for y in back.get(x, ()):
-                if sent.get((y, x)) and y not in parent:
-                    parent[y] = (x, -1)
-                    queue.append(y)
-        if end is None:
-            return frozenset(parent)
-        path = []
-        amount, y = demand[end], end
-        while parent[y] is not None:
-            x, sign = parent[y]
-            path.append((x, y, sign))
-            if sign < 0:
-                amount = min(amount, sent[y, x])
-            y = x
-        amount = min(amount, supply[y])
-        supply[y] -= amount
-        demand[end] -= amount
-        for x, y, sign in path:
-            if sign > 0:
-                sent[x, y] = sent.get((x, y), 0) + amount
-            else:
-                sent[y, x] -= amount
-    return None
+    the flow shows that some sum does (module docstring).  g's
+    coefficients must sum to 0."""
+    arcs = {(x, y): 0 for level in levels for x, y in level if x != y}
+    _, reached = min_cost_flow({x: -m for x, m in g.terms if m < 0},
+                               {y: m for y, m in g.terms if m > 0}, arcs)
+    return reached or None
 
 
 def _decompose(g: AbelianWord, seq: EntourageSequence, bound: int,

@@ -382,7 +382,7 @@ def _modules_loaded(*argv):
 
 
 def test_commands_import_only_what_they_run(tmp_path):
-    """Each command loads the module it runs and not those it has no use
+    """Each command loads the modules it runs and not those it has no use
     for; none loads argparse, the gettext and locale that argparse
     imports, dataclasses or inspect."""
     _write_entourage(tmp_path / "u.json", ("x", "y"), [("x", "y")])
@@ -394,25 +394,28 @@ def test_commands_import_only_what_they_run(tmp_path):
     topo = tmp_path / "topo.json"
     topo.write_text(json.dumps({"points": ["a", "b"],
                                 "opens": [[], ["a"], ["a", "b"]]}))
-    quniform, norms, qpspace = (f"graevext.{m}" for m in
-                                ("quniform", "norms", "qpspace"))
+    quniform, norms, qpspace, flow = (f"graevext.{m}" for m in
+                                      ("quniform", "norms", "qpspace", "flow"))
     entourage_only = (norms, qpspace, "fractions")
     for argv, needed, unused in (
-            (["validate", "--space", SPACE], qpspace, (quniform, norms)),
-            (["norm", "--space", SPACE, "--word", "a b^-1"], norms, (quniform,)),
-            (["dist", "--space", SPACE, "--from", "a", "--to", "b"], norms,
+            (["validate", "--space", SPACE], (qpspace,), (quniform, norms)),
+            (["norm", "--space", SPACE, "--word", "a b^-1"], (norms,),
              (quniform,)),
-            (["member", "--space", SPACE, "--word", "a", "--eps", "1"], norms,
+            (["norm", "--space", SPACE, "--abelian", "--word", "-a + b"],
+             (norms, flow), (quniform,)),
+            (["dist", "--space", SPACE, "--from", "a", "--to", "b"], (norms,),
              (quniform,)),
-            (["schemes", "--n", "3"], "graevext.schemes", (quniform, norms)),
-            (["frink", "--chain", str(chain)], quniform, (norms,)),
+            (["member", "--space", SPACE, "--word", "a", "--eps", "1"],
+             (norms,), (quniform,)),
+            (["schemes", "--n", "3"], ("graevext.schemes",), (quniform, norms)),
+            (["frink", "--chain", str(chain)], (quniform,), (norms,)),
             (["lemma5", "--chain", str(chain), "--k", "0", "--ks", "1"],
-             quniform, (norms, qpspace)),
-            (["ubase", "--topology", str(topo)], quniform, entourage_only),
+             (quniform,), (norms, qpspace)),
+            (["ubase", "--topology", str(topo)], (quniform,), entourage_only),
             (["wmember", "--word", "-x + y", "--seq", str(seq), "--n", "1"],
-             quniform, entourage_only)):
+             (quniform, flow), entourage_only)):
         loaded = _modules_loaded(*argv)
-        assert needed in loaded, argv
+        assert loaded.issuperset(needed), argv
         assert not loaded & {*unused, "argparse", "gettext", "locale",
                              "dataclasses", "inspect"}, argv
 

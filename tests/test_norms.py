@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from graevext import (AbelianWord, CapExceeded, DomainError, Letter, QPSpace,
                       ball_member, enumerate_schemes, graev_dist, graev_norm,
                       norm, pairing_cost, parse_abelian, parse_word,
                       signed_extension)
-from graevext.norms import _assignment_min
+from graevext.flow import min_cost_flow
 from .conftest import random_qpspace, random_reduced_word
 from .oracles import (_constrained_witness, _EngineContext, _free_norm_search,
                       brute_abelian_norm, brute_assignment, brute_free_norm,
@@ -292,6 +293,22 @@ def test_abelian_assignment_crosses_term_order():
     assert abelian_norm_balanced(sp, h) == abelian_norm(sp, h)
 
 
+def test_abelian_flow_reroutes_the_cheapest_pair():
+    # a->c and b->c both cost 0, and the first of them is wrong: after it
+    # b can only go to d at 3/4, so the flow must send a's unit back from
+    # c to d along the residual arc
+    z, third, half = F(0), F(3, 8), F(3, 4)
+    sp = QPSpace(("a", "b", "c", "d"),
+                 ((z, z, z, third),
+                  (third, z, z, half),
+                  (third, third, z, half),
+                  (half, third, third, z)))
+    assert not sp.validate(require_bounded=True)
+    h = parse_abelian("-a - b + c + d", sp.points)
+    assert brute_abelian_norm(sp, h) == third
+    assert str(abelian_norm(sp, h)[1]) == "value=3/8 pairs=[(a,d) (b,c)]"
+
+
 def test_balanced_rejects_unbalanced(two_point_space):
     with pytest.raises(DomainError):
         abelian_norm_balanced(two_point_space,
@@ -316,25 +333,54 @@ def test_balanced_allows_unbounded_space():
     assert abelian_norm_balanced(sp, parse_abelian("-2a + 2b", sp.points))[0] == 6
 
 
-def test_assignment_against_permutations():
+def test_flow_against_permutations():
+    # unit supplies on the rows, unit demands on the columns: the kernel
+    # is an assignment of the smaller side into the larger one
     rng = random.Random(73)
 
     def check(n: int, m: int) -> None:
         cost = [[F(rng.randint(0, 20), rng.randint(1, 8)) for _ in range(m)]
                 for _ in range(n)]
-        value, match = _assignment_min(cost)
-        assert len(set(match)) == n and all(0 <= j < m for j in match)
-        assert value == brute_assignment(cost)
-        assert value == sum((cost[i][match[i]] for i in range(n)), F(0))
+        rows = [("row", i) for i in range(n)]
+        cols = [("col", j) for j in range(m)]
+        arcs = {(rows[i], cols[j]): cost[i][j]
+                for i in range(n) for j in range(m)}
+        flow, reached = min_cost_flow(dict.fromkeys(rows, 1),
+                                      dict.fromkeys(cols, 1), arcs)
+        assert set(flow.values()) <= {0, 1}
+        assert all(sum(flow[r, c] for c in cols) <= 1 for r in rows)
+        assert all(sum(flow[r, c] for r in rows) <= 1 for c in cols)
+        assert sum(flow.values()) == min(n, m)
+        # an unmatched row still reaches every row and column
+        assert reached == (set(rows + cols) if n > m else set())
+        expected = (brute_assignment(cost) if n <= m else
+                    brute_assignment([list(col) for col in zip(*cost)]))
+        assert sum((arcs[arc] * units for arc, units in flow.items()),
+                   F(0)) == expected
 
     for trial in range(30):
         n = rng.randint(1, 5)
         check(n, n)
-    # fewer rows than columns, down to none
-    for n, m in ((0, 3), (1, 4), (2, 5), (3, 6), (4, 5), (2, 3)):
+    # rectangular both ways, down to no rows
+    for n, m in ((0, 3), (1, 4), (2, 5), (3, 6), (4, 5), (2, 3),
+                 (3, 0), (4, 1), (5, 2), (3, 2)):
         check(n, m)
-    with pytest.raises(DomainError):
-        _assignment_min([[F(1)], [F(2)]])
+
+
+def test_abelian_large_multiplicity():
+    sp = QPSpace(("a", "b", "c"),
+                 ((F(0), F(1, 2), F(1, 8)),
+                  (F(1, 4), F(0), F(1, 3)),
+                  (F(1, 2), F(1, 2), F(0))))
+    assert not sp.validate(require_bounded=True)
+    h = parse_abelian("-300a - 200b + 500c", sp.points)
+    start = time.perf_counter()
+    value, witness = abelian_norm_balanced(sp, h)
+    assert time.perf_counter() - start < 1
+    assert value == 300 * sp.d("a", "c") + 200 * sp.d("b", "c")
+    assert AbelianWord.from_terms(
+        (gen, sign) for u, v in witness.pairs
+        for gen, sign in ((u.gen, -u.sign), (v.gen, v.sign)) if gen) == h
 
 
 def test_conjugate_space_law():
