@@ -22,17 +22,16 @@ _HOMES = {
     "norms": ("NormWitness", "PairingWitness", "abelian_dist", "abelian_norm",
               "abelian_norm_balanced", "ball_member", "graev_dist",
               "graev_norm", "norm"),
-    "qpspace": ("QPSpace", "Violation", "load_space", "neutral_extension",
-                "parse_rational", "signed_extension"),
+    "qpspace": ("QPSpace", "Violation", "load_space", "parse_rational",
+                "signed_extension"),
     "quniform": ("Entourage", "EntourageSequence", "FiniteSpace",
-                 "PrefixDecomposition", "SubsetDecomposition", "compose",
+                 "PrefixDecomposition", "SubsetDecomposition",
                  "composition_contained", "decompose_prefix",
                  "decompose_subset", "entourage_metric", "frink_metric",
                  "load_entourage", "load_sequence", "load_topology",
                  "universal_base"),
-    "schemes": ("Scheme", "enumerate_schemes", "is_scheme", "pairing_cost"),
-    "words": ("AbelianWord", "Letter", "Word", "from_normal_form",
-              "in_length_ball", "parse_abelian", "parse_word"),
+    "schemes": ("Scheme", "enumerate_schemes", "pairing_cost"),
+    "words": ("AbelianWord", "Letter", "Word", "parse_abelian", "parse_word"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = sorted(["CapExceeded", "DomainError", "FormatError", *_HOME])

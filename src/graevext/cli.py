@@ -19,10 +19,11 @@ Each command imports the modules it runs when it runs, so a call pays
 only for its own subcommand.  Besides ``cli`` and ``errors``:
 ``validate`` loads ``documents``, ``words`` and ``qpspace``; ``schemes``
 those and ``schemes``; ``norm``, ``dist`` and ``member`` those and
-``norms``; ``frink`` ``documents``, ``words``, ``quniform`` and
-``qpspace``; ``lemma5`` ``documents``, ``words`` and ``quniform``, and
-``fractions``; ``ubase`` and ``wmember`` ``documents``, ``words`` and
-``quniform``, without ``fractions``.
+``norms`` and ``flow``; ``frink`` ``documents``, ``words``, ``flow``,
+``quniform`` and ``qpspace``; ``lemma5`` ``documents``, ``words``,
+``flow`` and ``quniform``, and ``fractions``; ``ubase`` and ``wmember``
+``documents``, ``words``, ``flow`` and ``quniform``, without
+``fractions``.
 """
 
 from __future__ import annotations

@@ -86,7 +86,8 @@ order, its flow to each positive generator y in term order, one pair
 as (u^-1, v) at cost 2, and an odd last one as (u^-1, e) at cost 1.
 Among flows of equal cost, the one the kernel reaches (ties to the first
 nearest positive generator in term order) is reported.  The witness is
-priced again with ``signed_extension`` before it is returned.  The
+priced again with ``signed_extension`` before it is returned, once per
+run of equal pairs, so a large multiplicity costs one call.  The
 exhaustive pairing search is kept in the test suite as an oracle.
 
 All caps are plain size guards; exceeding one raises ``CapExceeded``
@@ -97,6 +98,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import CapExceeded, DomainError
 from .flow import min_cost_flow
@@ -268,7 +270,8 @@ def _abelian_match(space: QPSpace,
     if len(excess) % 2:
         excess.append(Letter.neutral())
     pairs += [(u.inverse(), v) for u, v in zip(excess[::2], excess[1::2])]
-    if sum((signed_extension(space, u, v) for u, v in pairs), Fraction(0)) != value:
+    if sum((signed_extension(space, u, v) * len(list(run))
+            for (u, v), run in groupby(pairs)), Fraction(0)) != value:
         raise AssertionError(f"abelian witness does not price to {value}")
     return value, PairingWitness(tuple(pairs), value)
 

@@ -13,9 +13,10 @@ that common denominator passes 2**64 the view is not built, since n**2
 integers of its size could exhaust memory, and every row takes the
 exact loop.
 
-The module also provides the two extension stages used by the group norms:
-first to the point set enlarged by the neutral letter, then to the full
-signed alphabet (points, their formal inverses, and the neutral letter).
+``signed_extension`` is the extension rho of d used by the group norms,
+on the full signed alphabet: points, their formal inverses, and the
+neutral letter.  Its first stage is only its restriction to the points
+and the neutral letter (d between points, 1 against the neutral letter).
 
 Space file format (JSON): ``points`` is a list of symbols, ``dist`` a
 row-major matrix whose entries are rationals written as ``"p/q"`` or
@@ -185,13 +186,6 @@ class QPSpace(Value):
         return QPSpace(self.points,
                        tuple(tuple(min(x, ONE) for x in row) for row in self.dist))
 
-    def conjugate(self) -> "QPSpace":
-        """Transpose: the reversed quasi-pseudometric d'(x, y) = d(y, x)."""
-        n = len(self.points)
-        return QPSpace(self.points,
-                       tuple(tuple(self.dist[j][i] for j in range(n))
-                             for i in range(n)))
-
     def scale(self, factor: Fraction) -> "QPSpace":
         if factor < 0:
             raise DomainError("scale factor must be non-negative")
@@ -246,21 +240,6 @@ def _entry(value, i: int, j: int) -> Fraction:
 
 def load_space(path) -> QPSpace:
     return QPSpace.from_json_dict(read_json(path))
-
-
-def neutral_extension(space: QPSpace, p: Letter, q: Letter) -> Fraction:
-    """Stage-one extension, the restriction of ``signed_extension`` to the
-    points plus the neutral letter.
-
-    Zero on the diagonal, the original distance between points, and 1
-    whenever the neutral letter is involved.  Requires the space to be
-    valid and bounded by 1 for the result to be a quasi-pseudometric.
-    """
-    for letter in (p, q):
-        if letter.sign < 0:
-            raise DomainError(
-                f"inverse letter {letter} is outside the stage-one domain")
-    return signed_extension(space, p, q)
 
 
 def signed_extension(space: QPSpace, p: Letter, q: Letter) -> Fraction:

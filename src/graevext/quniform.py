@@ -137,9 +137,6 @@ class Entourage(Value):
                    for ra, rb in zip(self.relation, other.relation)
                    for a, b in zip(ra, rb))
 
-    def is_transitive(self) -> bool:
-        return self.compose(self).subset_of(self)
-
     def is_full(self) -> bool:
         return all(all(row) for row in self.relation)
 
@@ -160,11 +157,6 @@ class Entourage(Value):
                        tuple(tuple(bool(x) for x in row) for row in rows))
         except DomainError as exc:
             raise FormatError(str(exc)) from exc
-
-
-def compose(u: Entourage, v: Entourage) -> Entourage:
-    """Relational composition, left to right."""
-    return u.compose(v)
 
 
 class EntourageSequence(Value):

@@ -11,8 +11,7 @@ the n-th Catalan number.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CapExceeded, DomainError
 from .qpspace import QPSpace, signed_extension
@@ -34,26 +33,8 @@ class Scheme(Value):
         object.__setattr__(self, "pairs", pairs)
 
     @property
-    def n(self) -> int:
-        return len(self.pairs)
-
-    @property
     def size(self) -> int:
         return 2 * len(self.pairs)
-
-    @cached_property
-    def _partner(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for a, b in self.pairs:
-            out[a] = b
-            out[b] = a
-        return out
-
-    def partner(self, i: int) -> int:
-        try:
-            return self._partner[i]
-        except KeyError as exc:
-            raise DomainError(f"index {i} outside the scheme") from exc
 
     def __str__(self) -> str:
         return "".join(f"({a},{b})" for a, b in self.pairs)
@@ -73,15 +54,6 @@ def _pairing_problem(pairs: tuple[tuple[int, int], ...]) -> str | None:
             if a < c < b < d or c < a < d < b:
                 return f"pairs ({a},{b}) and ({c},{d}) cross"
     return None
-
-
-def is_scheme(pairs: Iterable[tuple[int, int]]) -> bool:
-    """True iff the pairs partition 1..2n into a non-crossing pairing."""
-    try:
-        normalized = tuple(sorted((int(a), int(b)) for a, b in pairs))
-    except (TypeError, ValueError):
-        return False
-    return _pairing_problem(normalized) is None
 
 
 def enumerate_schemes(n: int) -> Iterator[Scheme]:

@@ -177,34 +177,8 @@ class Word(Value):
                 stack.append(letter)
         return Word(tuple(stack))
 
-    def is_reduced(self) -> bool:
-        return self.reduce() == self
-
-    def is_almost_irreducible(self) -> bool:
-        """No directly adjacent pair u, u^-1 of non-neutral letters.
-
-        Neutral letters may appear anywhere, including next to each other;
-        patterns like ``x e x^-1`` are allowed.
-        """
-        for i in range(len(self.letters) - 1):
-            cur, nxt = self.letters[i], self.letters[i + 1]
-            if not cur.is_neutral and nxt == cur.inverse():
-                return False
-        return True
-
     def reduced_length(self) -> int:
         return len(self.reduce())
-
-    def normal_form(self) -> tuple[tuple[str, int], ...]:
-        """Run-length encoding of the reduced word: (generator, exponent)
-        pairs with nonzero exponents and distinct adjacent generators."""
-        terms: list[tuple[str, int]] = []
-        for letter in self.reduce():
-            if terms and terms[-1][0] == letter.gen:
-                terms[-1] = (letter.gen, terms[-1][1] + letter.sign)
-            else:
-                terms.append((letter.gen, letter.sign))
-        return tuple(terms)
 
     def abelianize(self) -> "AbelianWord":
         return AbelianWord.from_terms((l.gen, l.sign) for l in self.letters
@@ -221,27 +195,6 @@ def _run(gen: str, k: int) -> list[Letter]:
     """The letters of ``gen^k``: |k| references to one letter, whose sign
     is that of k."""
     return [Letter(gen, 1 if k > 0 else -1)] * abs(k)
-
-
-def from_normal_form(terms: Iterable[tuple[str, int]]) -> Word:
-    """Expand (generator, exponent) terms back into a word."""
-    letters: list[Letter] = []
-    prev = None
-    for gen, exp in terms:
-        if exp == 0:
-            raise DomainError(f"zero exponent for generator {gen!r}")
-        if gen == prev:
-            raise DomainError(f"adjacent terms share the generator {gen!r}")
-        prev = gen
-        letters += _run(gen, exp)
-    return Word(tuple(letters))
-
-
-def in_length_ball(word: Word, n: int) -> bool:
-    """True iff the reduced length of ``word`` is at most ``n``."""
-    if n < 0:
-        raise DomainError(f"radius must be non-negative, got {n}")
-    return word.reduced_length() <= n
 
 
 class AbelianWord(Value):
@@ -275,12 +228,6 @@ class AbelianWord(Value):
     def is_identity(self) -> bool:
         return not self.terms
 
-    def exponent(self, gen: str) -> int:
-        for g, m in self.terms:
-            if g == gen:
-                return m
-        return 0
-
     def generators(self) -> tuple[str, ...]:
         return tuple(g for g, _ in self.terms)
 
@@ -305,11 +252,6 @@ class AbelianWord(Value):
 
     def __sub__(self, other: "AbelianWord") -> "AbelianWord":
         return self + (-other)
-
-    def __rmul__(self, k: int) -> "AbelianWord":
-        if not isinstance(k, int):
-            return NotImplemented
-        return AbelianWord.from_mapping({g: k * m for g, m in self.terms})
 
     def __str__(self) -> str:
         if not self.terms:

@@ -29,6 +29,12 @@ def random_qpspace(rng: random.Random, n_points: int, denom: int = 16) -> QPSpac
     return space
 
 
+def conjugate(space: QPSpace) -> QPSpace:
+    """The transposed space: the reversed quasi-pseudometric
+    d'(x, y) = d(y, x)."""
+    return QPSpace(space.points, tuple(zip(*space.dist)))
+
+
 def min_plus_close(m) -> None:
     """Lower each entry of the square matrix ``m`` in place to its shortest
     path, Floyd-Warshall style, so that it satisfies the triangle law."""

@@ -3,12 +3,12 @@
 These deliberately avoid the library's optimized code paths: reduction is
 a rescan-until-fixpoint loop instead of a stack pass, pairings come from
 unfiltered enumeration, space validation is the plain triple loop over
-exact fractions, the free-group norm enumerates candidate words
-and pairings outright, and decompositions over entourage sequences try
-every choice of levels and pairs.  The former exhaustive free-norm walk
-is kept here too, as a second free-norm oracle.  The command line's
-former argparse parser is the reference for its table parser.  Slow,
-simple, and only for tests.
+exact fractions, the free-group norm enumerates candidate words (those
+that pass ``almost_irreducible``) and pairings outright, and
+decompositions over entourage sequences try every choice of levels and
+pairs.  The former exhaustive free-norm walk is kept here too, as a
+second free-norm oracle.  The command line's former argparse parser is
+the reference for its table parser.  Slow, simple, and only for tests.
 """
 
 import itertools
@@ -37,6 +37,13 @@ def scan_reduce(word: Word) -> Word:
                 changed = True
                 break
     return Word(tuple(letters))
+
+
+def almost_irreducible(word: Word) -> bool:
+    """No directly adjacent pair u, u^-1 of non-neutral letters; neutral
+    letters may stand anywhere, so ``x e x^-1`` and ``e e`` pass."""
+    return not any(not cur.is_neutral and nxt == cur.inverse()
+                   for cur, nxt in zip(word.letters, word.letters[1:]))
 
 
 def all_pairings(indices):
@@ -141,7 +148,7 @@ def brute_free_norm(space: QPSpace, g: Word) -> Fraction:
     for n in range(1, len(reduced) + 1):
         for tup in itertools.product(alphabet, repeat=2 * n):
             word = Word(tup)
-            if not word.is_almost_irreducible():
+            if not almost_irreducible(word):
                 continue
             if scan_reduce(word) != reduced:
                 continue

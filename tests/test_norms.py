@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
@@ -11,11 +12,12 @@ from graevext import (AbelianWord, CapExceeded, DomainError, Letter, QPSpace,
                       ball_member, enumerate_schemes, graev_dist, graev_norm,
                       norm, pairing_cost, parse_abelian, parse_word,
                       signed_extension)
+from graevext import norms
 from graevext.flow import min_cost_flow
-from .conftest import random_qpspace, random_reduced_word
+from .conftest import conjugate, random_qpspace, random_reduced_word
 from .oracles import (_constrained_witness, _EngineContext, _free_norm_search,
-                      brute_abelian_norm, brute_assignment, brute_free_norm,
-                      gamma_by_formula, scan_reduce)
+                      almost_irreducible, brute_abelian_norm, brute_assignment,
+                      brute_free_norm, gamma_by_formula, scan_reduce)
 
 F = Fraction
 
@@ -70,7 +72,7 @@ def test_witness_contract(two_point_space):
         value, witness = graev_norm(sp, g)
         reduced = g.reduce()
         assert witness.word.reduce() == reduced
-        assert witness.word.is_almost_irreducible()
+        assert almost_irreducible(witness.word)
         if len(reduced):
             assert len(witness.word) <= 2 * len(reduced)
             allowed = {l for l in reduced} | {l.inverse() for l in reduced} \
@@ -128,7 +130,7 @@ def test_constrained_witness_pass(two_point_space):
             codes.append(((packed >> pos) & ctx.mask) - 1)
             pos -= ctx.bits
         word = Word(tuple(ctx.letters[c] for c in codes))
-        assert word.is_almost_irreducible()
+        assert almost_irreducible(word)
         assert word.reduce() == g.reduce()
         assert len(word) % 2 == 0 and len(word) <= 2 * g.reduced_length()
         best = min(pairing_cost(sp, word, s)
@@ -367,20 +369,34 @@ def test_flow_against_permutations():
         check(n, m)
 
 
-def test_abelian_large_multiplicity():
+def test_abelian_large_multiplicity(monkeypatch):
     sp = QPSpace(("a", "b", "c"),
                  ((F(0), F(1, 2), F(1, 8)),
                   (F(1, 4), F(0), F(1, 3)),
                   (F(1, 2), F(1, 2), F(0))))
     assert not sp.validate(require_bounded=True)
-    h = parse_abelian("-300a - 200b + 500c", sp.points)
-    start = time.perf_counter()
-    value, witness = abelian_norm_balanced(sp, h)
-    assert time.perf_counter() - start < 1
-    assert value == 300 * sp.d("a", "c") + 200 * sp.d("b", "c")
-    assert AbelianWord.from_terms(
-        (gen, sign) for u, v in witness.pairs
-        for gen, sign in ((u.gen, -u.sign), (v.gen, v.sign)) if gen) == h
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return signed_extension(*args)
+
+    monkeypatch.setattr(norms, "signed_extension", counted)
+    for text, expected in (
+            ("-300a - 200b + 500c", 300 * sp.d("a", "c") + 200 * sp.d("b", "c")),
+            ("-1000000a + 1000000c", 1000000 * sp.d("a", "c"))):
+        h = parse_abelian(text, sp.points)
+        calls.clear()
+        start = time.perf_counter()
+        value, witness = abelian_norm_balanced(sp, h)
+        assert time.perf_counter() - start < 1
+        assert value == expected
+        # the witness is re-priced once per distinct pair, not per unit
+        runs = [(pair, len(list(run))) for pair, run in groupby(witness.pairs)]
+        assert len(calls) <= len({pair for pair, _ in runs})
+        assert AbelianWord.from_terms(
+            (gen, sign * units) for (u, v), units in runs
+            for gen, sign in ((u.gen, -u.sign), (v.gen, v.sign)) if gen) == h
 
 
 def test_conjugate_space_law():
@@ -389,10 +405,10 @@ def test_conjugate_space_law():
     for trial in range(20):
         sp = random_qpspace(rng, rng.randint(2, 4))
         g = random_reduced_word(rng, sp.points, 5)
-        assert graev_norm(sp.conjugate(), g)[0] == graev_norm(sp, g.inverse())[0]
+        assert graev_norm(conjugate(sp), g)[0] == graev_norm(sp, g.inverse())[0]
         h = AbelianWord.from_mapping({gen: rng.randint(-3, 3)
                                       for gen in sp.points})
-        assert abelian_norm(sp.conjugate(), h)[0] == abelian_norm(sp, -h)[0]
+        assert abelian_norm(conjugate(sp), h)[0] == abelian_norm(sp, -h)[0]
 
 
 def test_abelian_dist(two_point_space):

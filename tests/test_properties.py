@@ -1,6 +1,7 @@
-"""Properties of the abelian norm on spaces and elements that hypothesis
-draws: against the free norm, the triangle law and the brute-force
-pairing oracle."""
+"""Properties of the free and abelian norms on spaces and elements that
+hypothesis draws: conjugation invariance and the triangle law of the free
+norm, the abelian norm against the free norm, the abelian triangle law,
+and each norm against an exhaustive oracle."""
 
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from graevext import AbelianWord, Letter, QPSpace, Word, abelian_norm, graev_norm
 from .conftest import min_plus_close
-from .oracles import brute_abelian_norm
+from .oracles import _free_norm_search, brute_abelian_norm
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80,
                     deadline=None)
@@ -58,3 +59,32 @@ def test_abelian_norm_against_oracle(data):
     space = data.draw(spaces())
     h = data.draw(elements(space, 8))
     assert abelian_norm(space, h)[0] == brute_abelian_norm(space, h)
+
+
+@PROPERTY
+@given(st.data())
+def test_free_norm_conjugation_invariant(data):
+    space = data.draw(spaces())
+    g = Word(tuple(data.draw(letters(space, 4))))
+    w = Word(tuple(data.draw(letters(space, 3))))
+    # w g w^-1 reduces to at most 10 letters, past the default cap
+    assert graev_norm(space, w * g * w.inverse(), cap=10)[0] == \
+        graev_norm(space, g)[0]
+
+
+@PROPERTY
+@given(st.data())
+def test_free_triangle_law(data):
+    space = data.draw(spaces())
+    g = Word(tuple(data.draw(letters(space, 5))))
+    h = Word(tuple(data.draw(letters(space, 5))))
+    assert graev_norm(space, g * h, cap=10)[0] <= \
+        graev_norm(space, g)[0] + graev_norm(space, h)[0]
+
+
+@PROPERTY
+@given(st.data())
+def test_free_norm_against_search(data):
+    space = data.draw(spaces())
+    g = Word(tuple(data.draw(letters(space, 6)))).reduce()
+    assert graev_norm(space, g)[0] == _free_norm_search(space, g)[0]

@@ -6,10 +6,10 @@ from itertools import product
 import pytest
 
 from graevext import (DomainError, FormatError, Letter, QPSpace, load_space,
-                      neutral_extension, parse_rational, signed_extension)
+                      parse_rational, signed_extension)
 from graevext.qpspace import SCALE_LIMIT, _triangles_hold
 from graevext.schemes import arc_cost
-from .conftest import min_plus_close, random_qpspace
+from .conftest import conjugate, min_plus_close, random_qpspace
 from .oracles import brute_violations, rho_table
 
 F = Fraction
@@ -191,28 +191,27 @@ def test_cap_preserves_validity_random():
 
 
 def test_conjugate(two_point_space):
-    conj = two_point_space.conjugate()
+    conj = conjugate(two_point_space)
     assert conj.d("a", "b") == F(1, 2)
-    assert conj.conjugate() == two_point_space
+    assert conjugate(conj) == two_point_space
     assert conj.validate() == []
     sym = space("ab", [[0, F(1, 2)], [F(1, 2), 0]])
-    assert sym.conjugate() == sym
+    assert conjugate(sym) == sym
 
 
 def test_neutral_extension_cases(two_point_space):
+    # signed_extension restricted to the points and e (its first stage)
     e = Letter.neutral()
     a, b = Letter("a", 1), Letter("b", 1)
-    assert neutral_extension(two_point_space, e, e) == 0
-    assert neutral_extension(two_point_space, a, b) == F(1, 4)
-    assert neutral_extension(two_point_space, a, e) == 1
-    assert neutral_extension(two_point_space, e, a) == 1
-    assert neutral_extension(two_point_space, a, a) == 0
+    assert signed_extension(two_point_space, e, e) == 0
+    assert signed_extension(two_point_space, a, b) == F(1, 4)
+    assert signed_extension(two_point_space, a, e) == 1
+    assert signed_extension(two_point_space, e, a) == 1
+    assert signed_extension(two_point_space, a, a) == 0
     with pytest.raises(DomainError):
-        neutral_extension(two_point_space, Letter("a", -1), b)
+        signed_extension(two_point_space, Letter("z", 1), b)
     with pytest.raises(DomainError):
-        neutral_extension(two_point_space, Letter("z", 1), b)
-    with pytest.raises(DomainError):
-        neutral_extension(two_point_space, Letter("z", 1), Letter("z", 1))
+        signed_extension(two_point_space, Letter("z", 1), Letter("z", 1))
 
 
 def test_signed_extension_cases(two_point_space):
@@ -224,35 +223,6 @@ def test_signed_extension_cases(two_point_space):
     assert signed_extension(two_point_space, ai, b) == 2
     assert signed_extension(two_point_space, e, e) == 0
     assert signed_extension(two_point_space, a, b) == F(1, 4)
-    # the overlapping-case assertion: both matching branches give 0 at (e, e)
-    assert neutral_extension(two_point_space, e, e) == 0
-
-
-def test_signed_extension_restrictions(two_point_space):
-    sp = two_point_space
-    e = Letter.neutral()
-    letters = [Letter("a", 1), Letter("b", 1), e]
-    for p in letters:
-        for q in letters:
-            assert signed_extension(sp, p, q) == neutral_extension(sp, p, q)
-    # reversal law on inverse letters
-    for x in ("a", "b"):
-        for y in ("a", "b"):
-            assert signed_extension(sp, Letter(x, -1), Letter(y, -1)) == \
-                neutral_extension(sp, Letter(y, 1), Letter(x, 1))
-
-
-def test_extension_restrictions_random():
-    rng = random.Random(19)
-    for _ in range(10):
-        sp = random_qpspace(rng, rng.randint(2, 4))
-        for x in sp.points:
-            for y in sp.points:
-                assert neutral_extension(sp, Letter(x, 1), Letter(y, 1)) == sp.d(x, y)
-        stage_one = [Letter.neutral()] + [Letter(x, 1) for x in sp.points]
-        for p in stage_one:
-            for q in stage_one:
-                assert signed_extension(sp, p, q) == neutral_extension(sp, p, q)
 
 
 def test_signed_extension_axioms_random(two_point_space):

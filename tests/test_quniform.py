@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from graevext import (AbelianWord, DomainError, Entourage, EntourageSequence,
-                      FiniteSpace, FormatError, abelian_norm, compose,
+                      FiniteSpace, FormatError, abelian_norm,
                       composition_contained, decompose_prefix,
                       decompose_subset, entourage_metric, frink_metric,
                       load_entourage, load_topology, parse_abelian,
@@ -73,16 +73,15 @@ def test_entourage_builders():
 def test_compose_identity_and_convention():
     u = Entourage.from_pairs(PTS, [("x", "y"), ("y", "z")])
     diag = Entourage.diagonal(PTS)
-    assert compose(diag, u) == u
-    assert compose(u, diag) == u
-    squared = compose(u, u)
+    assert diag.compose(u) == u
+    assert u.compose(diag) == u
+    squared = u.compose(u)
     assert ("x", "z") in squared  # one step via y, left-to-right convention
 
 
 def test_compose_preorder_idempotent():
     preorder = Entourage.from_pairs(PTS, [("x", "y"), ("y", "z"), ("x", "z")])
-    assert preorder.is_transitive()
-    assert compose(preorder, preorder) == preorder
+    assert preorder.compose(preorder) == preorder
 
 
 def test_compose_matches_matrix_oracle():
@@ -92,7 +91,7 @@ def test_compose_matches_matrix_oracle():
         u = random_entourage(rng, pts, 0.4)
         v = random_entourage(rng, pts, 0.4)
         expected = compose_by_matrix(u, v)
-        assert [list(row) for row in compose(u, v).relation] == expected
+        assert [list(row) for row in u.compose(v).relation] == expected
 
 
 def test_compose_associative_random():
@@ -100,7 +99,7 @@ def test_compose_associative_random():
     for _ in range(15):
         pts = tuple("pqrst"[:rng.randint(2, 5)])
         u, v, w = (random_entourage(rng, pts, 0.3) for _ in range(3))
-        assert compose(compose(u, v), w) == compose(u, compose(v, w))
+        assert u.compose(v).compose(w) == u.compose(v.compose(w))
 
 
 def test_compose_associative_exhaustive_two_points():
@@ -111,15 +110,15 @@ def test_compose_associative_exhaustive_two_points():
             relations.append(Entourage(pts, ((True, pq), (qp, True))))
     diag = Entourage.diagonal(pts)
     for u in relations:
-        assert compose(diag, u) == u == compose(u, diag)
+        assert diag.compose(u) == u == u.compose(diag)
         for v in relations:
             for w in relations:
-                assert compose(compose(u, v), w) == compose(u, compose(v, w))
+                assert u.compose(v).compose(w) == u.compose(v.compose(w))
 
 
 def test_compose_rejects_mismatched_points():
     with pytest.raises(DomainError):
-        compose(Entourage.full(("x",)), Entourage.full(("y",)))
+        Entourage.full(("x",)).compose(Entourage.full(("y",)))
 
 
 def test_sequence_validation():
@@ -271,8 +270,7 @@ def test_universal_base_sierpinski():
                                      frozenset({"a", "b"})))
     base = universal_base(space)
     assert base == Entourage.from_pairs(("a", "b"), [("b", "a")])
-    assert base.is_transitive()
-    assert compose(base, base) == base
+    assert base.compose(base) == base
 
 
 def _all_preorders(n):
@@ -284,7 +282,7 @@ def _all_preorders(n):
             if bitsmask >> bit & 1:
                 rows[i][j] = True
         ent = Entourage(pts, tuple(tuple(r) for r in rows))
-        if ent.is_transitive():
+        if ent.compose(ent) == ent:
             yield ent
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from graevext import (CapExceeded, DomainError, QPSpace, Scheme,
-                      enumerate_schemes, is_scheme, pairing_cost, parse_word)
+                      enumerate_schemes, pairing_cost, parse_word)
 from .conftest import random_qpspace, random_reduced_word
 from .oracles import gamma_by_formula, noncrossing_pairings
 
@@ -61,7 +61,11 @@ def test_cap():
     ([], True),
 ])
 def test_is_scheme(pairs, expected):
-    assert is_scheme(pairs) is expected
+    if expected:
+        assert Scheme(pairs).pairs == tuple(sorted(pairs))
+    else:
+        with pytest.raises(DomainError, match="not a scheme"):
+            Scheme(pairs)
 
 
 def test_scheme_constructor_validates():
@@ -69,9 +73,6 @@ def test_scheme_constructor_validates():
         Scheme(((1, 3), (2, 4)))
     scheme = Scheme(((3, 4), (1, 2)))
     assert scheme.pairs == ((1, 2), (3, 4))
-    assert scheme.partner(1) == 2 and scheme.partner(4) == 3
-    with pytest.raises(DomainError):
-        scheme.partner(9)
     assert str(scheme) == "(1,2)(3,4)"
 
 

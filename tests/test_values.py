@@ -125,7 +125,6 @@ def test_letter_equality_is_by_generator_and_sign():
 
 @pytest.mark.parametrize("cls, names", [
     (QPSpace, ("index", "integer_view")),
-    (Scheme, ("_partner",)),
     (Entourage, ("index",)),
 ], ids=lambda x: x.__name__ if isinstance(x, type) else "-".join(x))
 def test_cached_properties_are_computed_once(cls, names):
