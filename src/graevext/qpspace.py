@@ -21,7 +21,11 @@ and the neutral letter (d between points, 1 against the neutral letter).
 Space file format (JSON): ``points`` is a list of symbols, ``dist`` a
 row-major matrix whose entries are rationals written as ``"p/q"`` or
 integers; ``bounded_by_one`` is an optional boolean.  Parsing is strict:
-the matrix must be square with an explicit zero diagonal.
+the matrix must be square with an explicit zero diagonal.  Each distinct
+entry text is parsed once per file, and its entries share one
+``Fraction``; integer entries are parsed one by one.  Built in code,
+``QPSpace(points, dist)`` takes only ``int`` (not ``bool``) and
+``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -98,13 +102,13 @@ class QPSpace(Value):
     def __init__(self, points, dist) -> None:
         points = validate_symbols(points)
         n = len(points)
-        rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
+        rows = tuple(tuple(x if type(x) is Fraction else _exact(x)
                            for x in row) for row in dist)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DomainError(
                 f"distance matrix must be {n}x{n} to match the point list"
             )
-        if any(x < 0 for row in rows for x in row):
+        if any(x.numerator < 0 for row in rows for x in row):
             raise DomainError("distances must be non-negative")
         super().__init__(points, rows)
 
@@ -179,7 +183,8 @@ class QPSpace(Value):
             )
 
     def is_bounded_by_one(self) -> bool:
-        return all(x <= 1 for row in self.dist for x in row)
+        return all(x.numerator <= x.denominator
+                   for row in self.dist for x in row)
 
     def cap_at_one(self) -> "QPSpace":
         """Pointwise ``min(d, 1)``; stays a valid quasi-pseudometric."""
@@ -202,8 +207,18 @@ class QPSpace(Value):
     @classmethod
     def from_json_dict(cls, obj) -> "QPSpace":
         check_document(obj, "space", ("points", "dist"), ("bounded_by_one",))
-        rows = tuple(tuple(_entry(x, i, j) for j, x in enumerate(row))
-                     for i, row in enumerate(obj["dist"]))
+        # one parse per distinct text; only str keys, as True == 1 == 1.0
+        parsed: dict[str, Fraction] = {}
+        rows = []
+        for i, row in enumerate(obj["dist"]):
+            out = []
+            for j, x in enumerate(row):
+                if type(x) is not str:
+                    value = _entry(x, i, j)
+                elif (value := parsed.get(x)) is None:
+                    value = parsed[x] = _entry(x, i, j)
+                out.append(value)
+            rows.append(tuple(out))
         try:
             space = cls(tuple(obj["points"]), rows)
         except DomainError as exc:
@@ -227,6 +242,15 @@ def _triangles_hold(rows, i: int) -> bool:
     row = rows[i]
     return all(all(map(le, row, [a + b for b in rows[k]]))
                for k, a in enumerate(row))
+
+
+def _exact(value) -> Fraction:
+    """An int distance entry as a ``Fraction``; any other type but
+    ``Fraction`` raises ``DomainError``."""
+    if type(value) is not int:
+        raise DomainError(
+            f"distance entries must be int or Fraction, got {_shown(value)}")
+    return Fraction(value)
 
 
 def _entry(value, i: int, j: int) -> Fraction:

@@ -40,7 +40,8 @@ network form a set O that no arc leaves, so O is up-closed, and
 g(O) = flow - (negative mass) < 0.
 
 File formats (JSON): an entourage file mirrors the space file, with
-``points`` and a 0/1 ``relation`` matrix (reflexivity is validated, never
+``points`` and a ``relation`` matrix of the integers 0 and 1 (not
+``true``, ``false`` or ``1.0``; reflexivity is validated, never
 repaired); a sequence file is a JSON array of entourage file paths,
 resolved relative to the sequence file; a topology file has ``points``
 and an ``opens`` list of point lists.
@@ -150,7 +151,7 @@ class Entourage(Value):
         rows = obj["relation"]
         for row in rows:
             for x in row:
-                if x not in (0, 1):
+                if type(x) is not int or x not in (0, 1):
                     raise FormatError(f"relation entries must be 0 or 1, got {x!r}")
         try:
             return cls(tuple(obj["points"]),

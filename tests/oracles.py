@@ -3,19 +3,24 @@
 These deliberately avoid the library's optimized code paths: reduction is
 a rescan-until-fixpoint loop instead of a stack pass, pairings come from
 unfiltered enumeration, space validation is the plain triple loop over
-exact fractions, the free-group norm enumerates candidate words (those
-that pass ``almost_irreducible``) and pairings outright, and
-decompositions over entourage sequences try every choice of levels and
-pairs.  The former exhaustive free-norm walk is kept here too, as a
-second free-norm oracle.  The command line's former argparse parser is
-the reference for its table parser.  Slow, simple, and only for tests.
+exact fractions, the space loader parses every entry on its own and
+checks it with ``Fraction`` comparisons, the free-group norm enumerates
+candidate words (those that pass ``almost_irreducible``) and pairings
+outright, and decompositions over entourage sequences try every choice
+of levels and pairs.  The former exhaustive free-norm walk is kept here
+too, as a second free-norm oracle.  The command line's former argparse
+parser is the reference for its table parser.  Slow, simple, and only
+for tests.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from graevext import Letter, QPSpace, Violation, Word, signed_extension
+from graevext import (DomainError, FormatError, Letter, QPSpace, Violation,
+                      Word, parse_rational, signed_extension)
+from graevext.documents import check_document
+from graevext.words import validate_symbols
 
 
 def scan_reduce(word: Word) -> Word:
@@ -104,6 +109,43 @@ def brute_violations(space: QPSpace, require_bounded: bool) -> list[Violation]:
                     out.append(Violation("bound", (pts[i], pts[j]),
                                          f"d({pts[i]}, {pts[j]}) = {dist[i][j]} > 1"))
     return out
+
+
+def slow_space(obj) -> QPSpace:
+    """``QPSpace.from_json_dict`` with one ``parse_rational`` call per
+    entry and its checks on ``Fraction`` comparisons, raising the same
+    errors in the same order: the first bad entry in row-major order,
+    the points, the shape, the sign, the diagonal, then the bound flag."""
+    check_document(obj, "space", ("points", "dist"), ("bounded_by_one",))
+    rows = []
+    for i, row in enumerate(obj["dist"]):
+        out = []
+        for j, x in enumerate(row):
+            try:
+                out.append(parse_rational(x))
+            except FormatError as exc:
+                raise FormatError(f"dist[{i}][{j}]: {exc}") from None
+        rows.append(tuple(out))
+    try:
+        points = validate_symbols(tuple(obj["points"]))
+    except DomainError as exc:
+        raise FormatError(str(exc)) from exc
+    n = len(points)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise FormatError(
+            f"distance matrix must be {n}x{n} to match the point list")
+    if any(x < 0 for row in rows for x in row):
+        raise FormatError("distances must be non-negative")
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise FormatError(f"diagonal entry d({points[i]}, {points[i]}) "
+                              f"must be an explicit 0")
+    flag = obj.get("bounded_by_one", False)
+    if not isinstance(flag, bool):
+        raise FormatError("'bounded_by_one' must be a boolean")
+    if flag and not all(x <= 1 for row in rows for x in row):
+        raise FormatError("space declares bounded_by_one but has entries > 1")
+    return QPSpace(points, tuple(rows))
 
 
 def rho_table(space: QPSpace) -> dict:

@@ -330,6 +330,16 @@ def test_wmember(capsys, tmp_path):
     assert (code, out) == (0, "not-member\n")
 
 
+def test_wmember_refuses_bool_and_float_relation_entries(capsys, tmp_path):
+    (tmp_path / "u.json").write_text(json.dumps(
+        {"points": ["a", "b"], "relation": [[True, False], [1.0, 1]]}))
+    seq = _write_chain(tmp_path, "seq.json", ["u.json"])
+    code, out, err = run(capsys, "wmember", "--word", "-a + b",
+                         "--seq", str(seq), "--n", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: relation entries must be 0 or 1, got True\n"
+
+
 @pytest.mark.parametrize("bound,expected", [
     (["--kmax", "1500"], "not-found-within-bound\n"),
     (["--n", "2"], "not-member\n"),

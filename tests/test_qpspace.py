@@ -7,6 +7,7 @@ import pytest
 
 from graevext import (DomainError, FormatError, Letter, QPSpace, load_space,
                       parse_rational, signed_extension)
+from graevext import qpspace
 from graevext.qpspace import SCALE_LIMIT, _triangles_hold
 from graevext.schemes import arc_cost
 from .conftest import conjugate, min_plus_close, random_qpspace
@@ -172,6 +173,37 @@ def test_structural_errors():
         space("ab", [[0, -1], [1, 0]])
     with pytest.raises(FormatError):
         QPSpace(("a", "e"), ((F(0), F(0)), (F(0), F(0))))
+
+
+def test_constructor_takes_only_int_and_fraction_entries():
+    assert QPSpace(("a", "b"), ((0, F(1, 2)), (1, 0))).dist == \
+        ((F(0), F(1, 2)), (F(1), F(0)))
+    with pytest.raises(DomainError) as info:
+        QPSpace(("a", "b"), ((0, "1e-200000"), (0.1, True)))
+    assert str(info.value) == \
+        "distance entries must be int or Fraction, got '1e-200000'"
+    for bad in (0.1, True, False, "1", None, 1.0):
+        with pytest.raises(DomainError) as info:
+            QPSpace(("a", "b"), ((0, bad), (1, 0)))
+        assert str(info.value) == \
+            f"distance entries must be int or Fraction, got {bad!r}"
+
+
+def test_load_parses_each_distinct_text_once(monkeypatch):
+    n = 24
+    doc = {"points": [f"p{k}" for k in range(n)],
+           "dist": [["0" if i == j else f"{min(abs(i - j), 12)}/12"
+                     for j in range(n)] for i in range(n)],
+           "bounded_by_one": True}
+    calls = []
+    parse = qpspace.parse_rational
+    monkeypatch.setattr(qpspace, "parse_rational",
+                        lambda value: calls.append(value) or parse(value))
+    sp = QPSpace.from_json_dict(doc)
+    assert len(calls) == len(set(calls)) == 13
+    assert sp.d("p0", "p5") == F(5, 12) and sp.d("p20", "p0") == 1
+    assert sp.dist[0][5] is sp.dist[5][0] is sp.dist[7][2]
+    assert sp.validate(require_bounded=True) == []
 
 
 def test_cap_at_one():

@@ -29,6 +29,17 @@ def test_entourage_requires_reflexive():
         Entourage(("x",), ())
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, "1", None, [1]])
+def test_relation_entries_are_the_ints_0_and_1(bad):
+    doc = {"points": ["x", "y"], "relation": [[1, bad], [0, 1]]}
+    with pytest.raises(FormatError) as info:
+        Entourage.from_json_dict(doc)
+    assert str(info.value) == f"relation entries must be 0 or 1, got {bad!r}"
+    doc["relation"][0][1] = 1
+    assert Entourage.from_json_dict(doc) == Entourage.from_pairs(
+        ("x", "y"), [("x", "y")])
+
+
 def test_load_sequence_reads_each_file_once(tmp_path, monkeypatch):
     for name, pairs in (("u.json", [("x", "y")]), ("v.json", [])):
         (tmp_path / name).write_text(json.dumps(
