@@ -12,8 +12,8 @@ value that starts with ``-`` only if it is a negative number or holds a
 space, the last of a repeated option wins) without loading ``argparse``,
 ``gettext`` or ``locale``; ``tests/oracles.py`` keeps the argparse
 parser as its reference.  Only the wording of usage and help differs,
-and ``--opt=--``, which argparse read as an empty list, is the value
-``--``.
+``--opt=--`` is the value ``--`` (argparse: an empty list), and integer
+values follow ``words.read_integer``, so ``+3`` and ``1_0`` are refused.
 
 Each command imports the modules it runs when it runs, so a call pays
 only for its own subcommand.  Besides ``cli`` and ``errors``:
@@ -32,7 +32,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, FormatError
 
 
 def _load_space(args):
@@ -119,11 +119,9 @@ def cmd_frink(args) -> int:
 
 def cmd_lemma5(args) -> int:
     from .quniform import composition_contained, load_sequence
+    from .words import read_integer
     seq = load_sequence(args.chain)
-    try:
-        ks = [int(x) for x in args.ks.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise DomainError(f"bad index list {args.ks!r}") from exc
+    ks = [read_integer(x) for x in args.ks.split(",") if x.strip() != ""]
     print("true" if composition_contained(seq, args.k, ks) else "false")
     return 0
 
@@ -327,9 +325,10 @@ def _parse_command(command: str, argv):
             text = argv[i]
             i += 1
         if kind == "int":
+            from .words import read_integer
             try:
-                text = int(text)
-            except ValueError:
+                text = read_integer(text)
+            except FormatError:
                 raise UsageError("argument %s: invalid int value: %r"
                                  % (option, text)) from None
         rivals = [other for group in groups if option in group

@@ -1,15 +1,15 @@
 """Input files: reading a JSON file and checking a document's shape.
 
 Every loader of the package (space, entourage, sequence and topology
-files) reads its file with ``read_json`` and, for a JSON object, checks
-its fields with ``check_document`` before it builds anything.  This
+files) reads its file with ``read_json``, checks a JSON object's fields
+with ``check_document`` and builds its value with ``build``.  This
 module loads nothing of the package but its errors, so the entourage
 commands read their files without loading the rational spaces.
 """
 
 from __future__ import annotations
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 
 
 def read_json(path):
@@ -42,3 +42,11 @@ def check_document(obj, kind: str, required, optional=()) -> None:
         if field != "points" and (not isinstance(rows, list) or any(
                 not isinstance(row, list) for row in rows)):
             raise FormatError(f"{field!r} must be a list of lists")
+
+
+def build(cls, *fields):
+    """``cls(*fields)``, with its ``DomainError`` raised as a ``FormatError``."""
+    try:
+        return cls(*fields)
+    except DomainError as exc:
+        raise FormatError(str(exc)) from exc

@@ -297,9 +297,13 @@ def norm(space: QPSpace, g: Word | AbelianWord,
     raise DomainError(f"unsupported element type {type(g).__name__}")
 
 
-def ball_member(space: QPSpace, g, eps: Fraction, cap: int | None = None) -> bool:
-    """True iff the norm of g (see ``norm``) is strictly below eps."""
-    eps = Fraction(eps)
+def ball_member(space: QPSpace, g, eps: int | Fraction,
+                cap: int | None = None) -> bool:
+    """True iff the norm of g (see ``norm``) is strictly below eps, which
+    must be an ``int`` or a ``Fraction``: a float is not the radius it
+    reads as."""
+    if type(eps) not in (int, Fraction):
+        raise DomainError(f"eps must be an int or a Fraction, got {eps!r}")
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     return norm(space, g, cap)[0] < eps

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import le
-from .documents import check_document, read_json
+from .documents import build, check_document, read_json
 from .errors import DomainError, FormatError
 from .words import Letter, Value, check_generators, validate_symbols
 
@@ -219,10 +219,7 @@ class QPSpace(Value):
                     value = parsed[x] = _entry(x, i, j)
                 out.append(value)
             rows.append(tuple(out))
-        try:
-            space = cls(tuple(obj["points"]), rows)
-        except DomainError as exc:
-            raise FormatError(str(exc)) from exc
+        space = build(cls, obj["points"], rows)
         for i in range(len(space.points)):
             if space.dist[i][i] != 0:
                 raise FormatError(

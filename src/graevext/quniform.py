@@ -54,7 +54,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .documents import check_document, read_json
+from .documents import build, check_document, read_json
 from .errors import DomainError, FormatError
 from .flow import min_cost_flow
 from .words import AbelianWord, Value, check_generators, validate_symbols
@@ -64,14 +64,15 @@ if TYPE_CHECKING:
 
 
 class Entourage(Value):
-    """Reflexive boolean relation over a finite point list."""
+    """Reflexive boolean relation over a finite point list; built in code,
+    its entries are ``True``, ``False``, 0 or 1."""
 
     _fields = ("points", "relation")
 
     def __init__(self, points, relation) -> None:
         points = validate_symbols(points)
         n = len(points)
-        rows = tuple(tuple(bool(x) for x in row) for row in relation)
+        rows = tuple(tuple(map(_related, row)) for row in relation)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DomainError(f"relation matrix must be {n}x{n}")
         missing = [points[i] for i in range(n) if not rows[i][i]]
@@ -153,11 +154,15 @@ class Entourage(Value):
             for x in row:
                 if type(x) is not int or x not in (0, 1):
                     raise FormatError(f"relation entries must be 0 or 1, got {x!r}")
-        try:
-            return cls(tuple(obj["points"]),
-                       tuple(tuple(bool(x) for x in row) for row in rows))
-        except DomainError as exc:
-            raise FormatError(str(exc)) from exc
+        return build(cls, obj["points"], rows)
+
+
+def _related(x) -> bool:
+    """A relation entry, ``True``, ``False``, 0 or 1, as a bool; any other
+    value raises ``DomainError``."""
+    if type(x) not in (bool, int) or x not in (0, 1):
+        raise DomainError(f"relation entries must be 0, 1 or a bool, got {x!r}")
+    return x == 1
 
 
 class EntourageSequence(Value):
@@ -339,11 +344,7 @@ class FiniteSpace(Value):
         opens = obj["opens"]
         if any(not isinstance(p, str) for o in opens for p in o):
             raise FormatError("'opens' must be a list of point lists")
-        try:
-            return cls(tuple(obj["points"]),
-                       tuple(frozenset(o) for o in opens))
-        except DomainError as exc:
-            raise FormatError(str(exc)) from exc
+        return build(cls, obj["points"], opens)
 
 
 def load_topology(path) -> FiniteSpace:

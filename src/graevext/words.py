@@ -9,8 +9,8 @@ between threads.
 
 Text syntax accepted by the parsers:
 
-* word: whitespace-separated tokens, each ``sym``, ``sym^k`` (k may be
-  negative) or ``e``;
+* word: whitespace-separated tokens, each ``sym``, ``sym^k`` (k is
+  ``-?[0-9]+``, as every typed integer, see ``read_integer``) or ``e``;
 * abelian element: either word syntax (exponents summed per generator,
   never expanded into letters) or ``+``/``-`` separated terms such as
   ``-2a + 3b``; ``0`` and ``e`` denote the identity.
@@ -31,8 +31,9 @@ from .errors import DomainError, FormatError
 NEUTRAL_TOKEN = "e"
 
 _SYMBOL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_TOKEN_RE = re.compile(r"(?P<sym>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>-?\d+))?\Z")
-_TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<coef>\d+)?\s*(?P<sym>[A-Za-z][A-Za-z0-9_]*)\s*")
+_TOKEN_RE = re.compile(r"(?P<sym>[A-Za-z][A-Za-z0-9_]*)(?:\^(?P<exp>-?[0-9]+))?\Z")
+_TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<coef>[0-9]+)?\s*(?P<sym>[A-Za-z][A-Za-z0-9_]*)\s*")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 def validate_symbols(symbols: Iterable[str]) -> tuple[str, ...]:
@@ -111,7 +112,7 @@ class Letter(Value):
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "sign", sign)
 
-    def __eq__(self, other):  # written out: the norm searches run it
+    def __eq__(self, other):  # written out: the DP's table lookups run it
         return (self.gen == other.gen and self.sign == other.sign
                 if other.__class__ is Letter else NotImplemented)
 
@@ -199,12 +200,16 @@ def _run(gen: str, k: int) -> list[Letter]:
 
 class AbelianWord(Value):
     """Element of the free abelian group: sorted (generator, exponent)
-    terms with all exponents nonzero; the identity has no terms."""
+    terms with all exponents nonzero ``int`` values (not ``bool``); the
+    identity has no terms."""
 
     __slots__ = _fields = ("terms",)
 
     def __init__(self, terms=()) -> None:
-        terms = tuple((g, int(m)) for g, m in terms)
+        terms = tuple((g, m) for g, m in terms)
+        for _, m in terms:
+            if type(m) is not int:
+                raise DomainError(f"exponents must be int, got {m!r}")
         gens = [g for g, _ in terms]
         if gens != sorted(gens) or len(set(gens)) != len(gens):
             raise DomainError("terms must be sorted by generator and unique")
@@ -266,9 +271,12 @@ class AbelianWord(Value):
         return " ".join(parts)
 
 
-def _integer(digits: str) -> int:
-    """``int`` of a matched digit string; one past Python's limit on
-    digits in an integer string raises ``FormatError``."""
+def read_integer(text: str) -> int:
+    """The integer ``-?[0-9]+`` that ``text`` writes, whitespace around it
+    allowed; other text, or digits past Python's limit, is a ``FormatError``."""
+    digits = text.strip()
+    if _INTEGER_RE.fullmatch(digits) is None:
+        raise FormatError(f"not an integer: {text!r}")
     try:
         return int(digits)
     except ValueError as exc:
@@ -290,7 +298,7 @@ def _word_tokens(text: str, symbols: set[str]) -> Iterator[tuple[str | None, int
             raise FormatError("the neutral letter takes no exponent")
         if sym not in symbols:
             raise FormatError(f"unknown generator {sym!r}")
-        yield sym, 1 if exp is None else _integer(exp)
+        yield sym, 1 if exp is None else read_integer(exp)
 
 
 def parse_word(text: str, alphabet: Collection[str]) -> Word:
@@ -337,7 +345,7 @@ def _parse_terms(text: str, symbols: set[str]) -> AbelianWord | None:
             return None
         pos = m.end()
         first = False
-        coef = 1 if coef_tok is None else _integer(coef_tok)
+        coef = 1 if coef_tok is None else read_integer(coef_tok)
         if sign_tok == "-":
             coef = -coef
         if sym == NEUTRAL_TOKEN:

@@ -289,6 +289,53 @@ def test_frink_and_lemma5(capsys, tmp_path):
     assert code == 1
 
 
+def _three_level_chain(tmp_path):
+    """A tripling chain on x, y, z: the full relation, a preorder, the
+    diagonal."""
+    pts = ("x", "y", "z")
+    _write_entourage(tmp_path / "full.json", pts,
+                     [(x, y) for x in pts for y in pts])
+    _write_entourage(tmp_path / "mid.json", pts,
+                     [("x", "y"), ("y", "z"), ("x", "z")])
+    _write_entourage(tmp_path / "deep.json", pts, [])
+    return _write_chain(tmp_path, "chain.json",
+                        ["full.json", "mid.json", "deep.json"])
+
+
+@pytest.mark.parametrize("argv,marker", [
+    (["schemes", "--n", "+3"], "invalid int value: '+3'"),
+    (["schemes", "--n", "\u0663"], "invalid int value: '\u0663'"),
+    (["schemes", "--n", "1_0"], "invalid int value: '1_0'"),
+    (["lemma5", "--chain", "CHAIN", "--k", "0", "--ks", "1_0"],
+     "not an integer: '1_0'"),
+    (["lemma5", "--chain", "CHAIN", "--k", "0", "--ks", "1,+2"],
+     "not an integer: '+2'"),
+    (["norm", "--space", SPACE, "--word", "a^\u0663"], "bad word token"),
+    (["norm", "--space", SPACE, "--abelian", "--word", "\u0663a"],
+     "bad word token"),
+], ids=["plus", "non-ascii", "underscore", "ks-underscore", "ks-plus",
+        "free-exponent", "abelian-coefficient"])
+def test_integers_are_ascii_digits(capsys, tmp_path, argv, marker):
+    """Every typed integer is an optional ``-`` and ASCII digits: other
+    forms exit 1 with one error line and no traceback."""
+    chain = str(_three_level_chain(tmp_path))
+    code, out, err = run(capsys, *(chain if a == "CHAIN" else a for a in argv))
+    assert (code, out) == (1, "")
+    assert err.count("error:") == 1 and marker in err
+    assert "Traceback" not in err
+
+
+def test_integers_allow_whitespace_and_minus(capsys, tmp_path):
+    chain = str(_three_level_chain(tmp_path))
+    code, out, _ = run(capsys, "lemma5", "--chain", chain,
+                       "--k", " 0 ", "--ks", "1, 2")
+    assert (code, out) == (0, "true\n")
+    code, _, err = run(capsys, "schemes", "--n=-3")
+    assert code == 1 and err.startswith("error: ")
+    code, out, _ = run(capsys, "norm", "--space", SPACE, "--word", " a^-1 b^1 ")
+    assert (code, out) == (0, "1/4\n")
+
+
 def test_ubase(capsys, tmp_path):
     topo = tmp_path / "topo.json"
     topo.write_text(json.dumps({"points": ["a", "b"],

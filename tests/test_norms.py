@@ -459,6 +459,20 @@ def test_ball_member(two_point_space):
         ball_member(sp, "a", F(1))
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, "1/2", None])
+def test_ball_member_takes_only_exact_radii(bad):
+    """The norm of a b^-1 is exactly 1/10 here, so it is not in the ball of
+    radius 1/10; the float 0.1 is a little above 1/10 and is refused."""
+    sp = QPSpace(("a", "b"), ((0, F(1, 10)), (F(1, 10), 0)))
+    g = parse_word("a b^-1", sp.points)
+    assert norm(sp, g)[0] == F(1, 10)
+    assert not ball_member(sp, g, F(1, 10))
+    assert ball_member(sp, g, F(1, 5)) and ball_member(sp, g, 1)
+    with pytest.raises(DomainError) as info:
+        ball_member(sp, g, bad)
+    assert str(info.value) == f"eps must be an int or a Fraction, got {bad!r}"
+
+
 def test_norm_dispatches_on_element_type(two_point_space):
     sp = two_point_space
     word = parse_word("a b^-1 a", sp.points)

@@ -175,6 +175,16 @@ def test_structural_errors():
         QPSpace(("a", "e"), ((F(0), F(0)), (F(0), F(0))))
 
 
+def test_unknown_point_and_negative_scale():
+    sp = space("ab", [[0, 1], [1, 0]])
+    with pytest.raises(DomainError) as info:
+        sp.d("a", "c")
+    assert str(info.value) == "unknown point 'c'"
+    with pytest.raises(DomainError):
+        sp.scale(F(-1))
+    assert sp.scale(F(1, 2)).d("a", "b") == F(1, 2)
+
+
 def test_constructor_takes_only_int_and_fraction_entries():
     assert QPSpace(("a", "b"), ((0, F(1, 2)), (1, 0))).dist == \
         ((F(0), F(1, 2)), (F(1), F(0)))

@@ -40,6 +40,29 @@ def test_relation_entries_are_the_ints_0_and_1(bad):
         ("x", "y"), [("x", "y")])
 
 
+def test_entourage_constructor_takes_only_bools_and_0_and_1():
+    with pytest.raises(DomainError) as info:
+        Entourage(("x", "y"), (("0", "false"), (None, [0])))
+    assert str(info.value) == "relation entries must be 0, 1 or a bool, got '0'"
+    for bad in ("1", "false", None, [0], 1.0, 0.0, 2, -1, F(1)):
+        with pytest.raises(DomainError) as info:
+            Entourage(("x", "y"), ((1, bad), (0, 1)))
+        assert str(info.value) == \
+            f"relation entries must be 0, 1 or a bool, got {bad!r}"
+    built = Entourage(("x", "y"), ((1, True), (0, True)))
+    assert built == Entourage(("x", "y"), ((True, 1), (False, 1)))
+    assert built.relation == ((True, True), (False, True))
+
+
+def test_entourage_unknown_points():
+    u = Entourage.full(("x", "y"))
+    with pytest.raises(DomainError) as info:
+        ("x", "w") in u
+    assert str(info.value) == "unknown point 'w'"
+    with pytest.raises(DomainError):
+        u.subset_of(Entourage.full(("x", "z")))
+
+
 def test_load_sequence_reads_each_file_once(tmp_path, monkeypatch):
     for name, pairs in (("u.json", [("x", "y")]), ("v.json", [])):
         (tmp_path / name).write_text(json.dumps(
@@ -242,6 +265,19 @@ def test_finite_space_validation():
     assert space.minimal_open("x") == {"x"}
     assert space.minimal_open("y") == {"x", "y"}
     assert space.is_t0()
+    with pytest.raises(DomainError) as info:
+        space.minimal_open("w")
+    assert str(info.value) == "unknown point 'w'"
+
+
+@pytest.mark.parametrize("opens,law", [
+    ([(), ("x",), ("y",), ("x", "y", "z")], "union"),
+    ([(), ("x", "y"), ("y", "z"), ("x", "y", "z")], "intersection"),
+])
+def test_finite_space_needs_closed_family(opens, law):
+    with pytest.raises(DomainError) as info:
+        FiniteSpace(PTS, tuple(frozenset(o) for o in opens))
+    assert f"opens not closed under {law}" in str(info.value)
 
 
 @pytest.mark.parametrize("load,doc", [
@@ -343,6 +379,14 @@ def test_entourage_metric_strictly_between():
         for q in ("a", "b", "c"):
             if rho.d(p, q) < 1:
                 assert (p, q) in v
+
+
+def test_entourage_metric_needs_the_topology_points():
+    space = FiniteSpace(("x", "y"), (frozenset(), frozenset({"x", "y"})))
+    with pytest.raises(DomainError) as info:
+        entourage_metric(space, Entourage.full(("x", "z")))
+    assert str(info.value) == \
+        "entourage and topology use different point lists"
 
 
 def test_entourage_metric_requires_base_containment():

@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from graevext import (AbelianWord, DomainError, FormatError, Letter, Word,
                       parse_abelian, parse_word)
+from graevext.words import read_integer
 from .conftest import random_reduced_word
 from .oracles import almost_irreducible, scan_reduce
 
@@ -163,6 +165,80 @@ def test_parse_abelian_keeps_exponents_whole():
 def test_parse_abelian_rejects_unknown():
     with pytest.raises(FormatError):
         parse_abelian("2c", AB)
+
+
+@pytest.mark.parametrize("text,mapping", [
+    ("a b", {"a": 1, "b": 1}),
+    ("b a a", {"a": 2, "b": 1}),
+    ("e + a", {"a": 1}),
+    ("2b - e", {"b": 2}),
+])
+def test_parse_abelian_word_syntax_and_neutral_terms(text, mapping):
+    """Text with no ``^`` that is not term-shaped is read as word syntax;
+    an ``e`` term adds nothing."""
+    assert parse_abelian(text, AB) == AbelianWord.from_mapping(mapping)
+
+
+def test_parse_abelian_refuses_text_of_neither_syntax():
+    with pytest.raises(FormatError):
+        parse_abelian("a*b", AB)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("7", 7), (" 7 ", 7), ("-3", -3), ("007", 7), ("\t-0\n", 0),
+])
+def test_read_integer(text, value):
+    assert read_integer(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "+3", "1_0", "\u0663", "\uff13", "", " ", "-", "--3", "- 3", "3.0", "1e3",
+    "0x10", "3 4", "3,",
+])
+def test_read_integer_takes_only_ascii_digits(text):
+    with pytest.raises(FormatError) as info:
+        read_integer(text)
+    assert str(info.value) == f"not an integer: {text!r}"
+
+
+def test_read_integer_past_the_digit_limit():
+    with pytest.raises(FormatError) as info:
+        read_integer("-" + "9" * 5000)
+    assert str(info.value) == "integer of 5001 digits is too long"
+
+
+@pytest.mark.parametrize("text", ["a^\u0663", "\u0663a", "a^\uff13 b", "-\u0663a"])
+def test_exponents_are_ascii_digits(text):
+    """A digit that is not ASCII is refused in both syntaxes."""
+    with pytest.raises(FormatError):
+        parse_word(text, AB)
+    with pytest.raises(FormatError):
+        parse_abelian(text, AB)
+
+
+def test_word_takes_only_letters():
+    with pytest.raises(DomainError):
+        Word(("a",))
+
+
+@pytest.mark.parametrize("terms", [
+    (("b", 1), ("a", 1)), (("a", 1), ("a", 2)), (("a", 0),),
+])
+def test_abelian_terms_sorted_unique_nonzero(terms):
+    with pytest.raises(DomainError):
+        AbelianWord(terms)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3", True, None, Fraction(2)])
+def test_abelian_exponents_are_ints(bad):
+    """An exponent is an ``int``: no other value is truncated or parsed
+    into one."""
+    with pytest.raises(DomainError) as info:
+        AbelianWord((("a", bad),))
+    assert str(info.value) == f"exponents must be int, got {bad!r}"
+    with pytest.raises(DomainError):
+        AbelianWord.from_mapping({"a": bad})
+    assert AbelianWord.from_mapping({"a": 3}).terms == (("a", 3),)
 
 
 def test_abelian_str_round_trip():
