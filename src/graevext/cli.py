@@ -3,7 +3,7 @@
 One computation per invocation, file-based inputs, deterministic output.
 Values print as exact rationals (``p/q``, integers without the ``/1``).
 Exit codes: 0 success, 1 domain or format error (a refused command line
-too), 2 search cap exceeded.
+too), 2 search cap exceeded or an input too large to hold in memory.
 
 Arguments are parsed from one table, ``COMMANDS``: each command's
 handler, one-line help, options and required options.  The parser over
@@ -392,6 +392,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError):
+        print("error: input too large to hold in memory", file=sys.stderr)
         return 2
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -134,16 +134,14 @@ def graev_norm(space: QPSpace, g: Word,
                cap: int = DEFAULT_FREE_CAP) -> tuple[Fraction, NormWitness]:
     """Exact free-group norm of g with a minimizing witness.
 
-    The identity has norm 0 with an empty witness.  Otherwise the value
-    comes from the interval DP on the reduced word and the witness from
-    its rebuild (tie order in the module docstring).  Raises
+    The value comes from the interval DP on the reduced word and the
+    witness from its rebuild (tie order in the module docstring), so the
+    identity has norm 0 with an empty witness.  Raises
     ``AssertionError`` if the witness does not price to the value.
     """
     space.ensure_valid(require_bounded=True)
     check_generators(space, (l.gen for l in g))
     reduced = g.reduce()
-    if not len(reduced):
-        return Fraction(0), NormWitness(Word(), Scheme(()), Fraction(0))
     if len(reduced) > cap:
         raise CapExceeded(
             f"reduced length {len(reduced)} exceeds the search cap {cap}")
@@ -226,7 +224,7 @@ def abelian_norm(space: QPSpace, h: AbelianWord,
     space.ensure_valid(require_bounded=True)
     check_generators(space, h.generators())
     length = h.length()
-    if length and length > cap:
+    if length > cap:
         raise CapExceeded(f"length {length} exceeds the pairing cap {cap}")
     return _abelian_match(space, h)
 

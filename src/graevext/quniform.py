@@ -207,12 +207,6 @@ class EntourageSequence(Value):
                 "chain condition fails (triple composition escapes the "
                 f"previous entourage) at indices: {bad}")
 
-    def ensure_frink_chain(self) -> None:
-        if not self.entourages[0].is_full():
-            raise DomainError("a chain for the metric construction must "
-                              "start with the full relation")
-        self.ensure_tripling_chain()
-
 
 def load_entourage(path) -> Entourage:
     return Entourage.from_json_dict(read_json(path))
@@ -272,25 +266,22 @@ def frink_metric(seq: EntourageSequence) -> QPSpace:
     the honest reading of a finite chain prefix); the distance is the
     cheapest chain of base weights.  For a chain V_0..V_m the result
     satisfies ``V_i <= {d <= 2^-i} <= V_(i-1)`` for 1 <= i <= m-1, and the
-    left inclusion for every i.
+    left inclusion for every i.  Raises ``DomainError`` unless the chain
+    starts with the full relation and is a tripling chain.
     """
     from fractions import Fraction
 
     from .qpspace import QPSpace
-    seq.ensure_frink_chain()
+    if not seq[0].is_full():
+        raise DomainError("a chain for the metric construction must "
+                          "start with the full relation")
+    seq.ensure_tripling_chain()
     points = seq.points
     n = len(points)
-    deepest = len(seq) - 1
-    weight = [[None] * n for _ in range(n)]
-    for level in range(deepest, -1, -1):
-        rel = seq[level].relation
-        value = Fraction(1, 2 ** level)
-        for i in range(n):
-            for j in range(n):
-                if weight[i][j] is None and rel[i][j]:
-                    weight[i][j] = value
-    dist = [[Fraction(0) if i == j else weight[i][j] for j in range(n)]
-            for i in range(n)]
+    rels = [e.relation for e in seq]
+    dist = [[Fraction(0) if i == j else Fraction(1, 2 ** max(
+                level for level, rel in enumerate(rels) if rel[i][j]))
+             for j in range(n)] for i in range(n)]
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -361,9 +352,8 @@ def universal_base(space: FiniteSpace) -> Entourage:
     if not space.is_t0():
         raise DomainError("space is not T0: two points share their "
                           "minimal open set")
-    rows = tuple(
-        tuple(y in space.minimal_open(x) for y in space.points)
-        for x in space.points)
+    rows = tuple(tuple(y in least for y in space.points)
+                 for least in map(space.minimal_open, space.points))
     return Entourage(space.points, rows)
 
 

@@ -21,12 +21,16 @@ DEFAULT_SCHEME_CAP = 10
 
 
 class Scheme(Value):
-    """A non-crossing perfect pairing, stored as sorted (a, b) pairs."""
+    """A non-crossing perfect pairing, stored as sorted (a, b) pairs of
+    ``int`` positions (not ``bool``)."""
 
     _fields = ("pairs",)
 
     def __init__(self, pairs) -> None:
-        pairs = tuple(sorted((int(a), int(b)) for a, b in pairs))
+        pairs = tuple((a, b) for a, b in pairs)
+        if any(type(x) is not int for pair in pairs for x in pair):
+            raise DomainError(f"positions must be int, got {pairs!r}")
+        pairs = tuple(sorted(pairs))
         problem = _pairing_problem(pairs)
         if problem is not None:
             raise DomainError(f"not a scheme: {problem}")

@@ -84,6 +84,25 @@ def test_norm_cap_exit_code(capsys):
     assert code == 0
 
 
+def test_identity_under_negative_cap_exit_code(capsys):
+    code, out, err = run(capsys, "norm", "--space", SPACE,
+                         "--word", "e", "--cap", "-1")
+    assert (code, out) == (2, "") and "cap -1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--word", "a^99999999999999999999"],
+    ["--abelian", "--word", "-99999999999999999999a + 99999999999999999999b",
+     "--cap", "99999999999999999999999"],
+], ids=["free", "abelian"])
+def test_oversized_exponent_exit_code(capsys, argv):
+    """An exponent past the largest list size fails before anything is
+    allocated, and exits 2 with one error line, like a cap."""
+    code, out, err = run(capsys, "norm", "--space", SPACE, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and "too large" in err
+
+
 def test_validate(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", "--space", SPACE, "--bounded")
     assert (code, out) == (0, "valid\n")

@@ -256,6 +256,21 @@ def test_abelian_cap(two_point_space):
                      AbelianWord.from_mapping({"a": 7, "b": -6}))
 
 
+def test_cap_refuses_the_identity_below_zero(two_point_space):
+    """Each cap refuses exactly the elements longer than it, so the
+    identity, of length 0, passes a cap of 0 and fails a cap of -1."""
+    sp = two_point_space
+    identity = parse_word("a a^-1 e", sp.points)
+    with pytest.raises(CapExceeded, match="cap -1"):
+        graev_norm(sp, identity, cap=-1)
+    with pytest.raises(CapExceeded, match="cap -1"):
+        abelian_norm(sp, AbelianWord(), cap=-1)
+    value, witness = graev_norm(sp, identity, cap=0)
+    assert value == 0 and witness.word == Word() and witness.scheme.pairs == ()
+    value, witness = abelian_norm(sp, AbelianWord(), cap=0)
+    assert value == 0 and witness.pairs == ()
+
+
 def test_balanced_examples(two_point_space):
     sp = two_point_space
     value, witness = abelian_norm_balanced(sp, parse_abelian("-a + b", sp.points))

@@ -14,7 +14,7 @@ from graevext import (AbelianWord, DomainError, Entourage, EntourageSequence,
                       decompose_subset, entourage_metric, frink_metric,
                       load_entourage, load_topology, parse_abelian,
                       quniform, universal_base)
-from .conftest import (random_entourage, random_qpspace,
+from .conftest import (min_plus_close, random_entourage, random_qpspace,
                        random_tripling_chain)
 from .oracles import brute_decompose, compose_by_matrix
 
@@ -234,6 +234,25 @@ def test_frink_output_is_valid_bounded_space():
         seq = random_tripling_chain(rng, ("p", "q", "r", "s"), rng.randint(2, 5))
         space = frink_metric(seq)
         assert space.validate(require_bounded=True) == []
+
+
+def test_frink_matches_level_by_level_reference():
+    """Differential: each reference base weight is overwritten level by
+    level, shallow to deep, with ``(p, q) in entourage``, so the deepest
+    level holding the pair sets it; shortest paths then close the matrix."""
+    rng = random.Random(139)
+    for _ in range(30):
+        pts = tuple("pqrstu"[:rng.randint(2, 6)])
+        seq = random_tripling_chain(rng, pts, rng.randint(2, 5))
+        ref = [[F(0)] * len(pts) for _ in pts]
+        for level, entourage in enumerate(seq):
+            for i, p in enumerate(pts):
+                for j, q in enumerate(pts):
+                    if p != q and (p, q) in entourage:
+                        ref[i][j] = F(1, 2 ** level)
+        min_plus_close(ref)
+        space = frink_metric(seq)
+        assert [[space.d(p, q) for q in pts] for p in pts] == ref
 
 
 def test_frink_sandwich_random():

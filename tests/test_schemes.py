@@ -76,6 +76,15 @@ def test_scheme_constructor_validates():
     assert str(scheme) == "(1,2)(3,4)"
 
 
+@pytest.mark.parametrize("pairs", [((1.7, "2"),), ((True, 2),), ((1, 2.0),),
+                                   ((1, Fraction(2)),)])
+def test_scheme_takes_int_positions_only(pairs):
+    """No position is converted into another: ``int()`` would read each
+    of these as the pair (1, 2)."""
+    with pytest.raises(DomainError, match="positions must be int"):
+        Scheme(pairs)
+
+
 def test_cost_examples(two_point_space):
     sp = two_point_space
     word = parse_word("a b^-1", sp.points)
