@@ -263,14 +263,12 @@ def parse_args(argv):
     and one attribute per option dest; None once help is printed.  Raises
     ``UsageError`` where argparse would refuse the line."""
     argv = list(argv)
-    unknown = []
+    # argv[:i] are unknown options, as a help option among them returns
     for i, token in enumerate(argv):
         found = token != "--" and _option(token, _HELP)
         if not found:
             break
-        if found[0] is None:
-            unknown.append(token)
-        else:
+        if found[0] is not None:
             _check_help(*found)
             print(_help())
             return None
@@ -285,8 +283,8 @@ def parse_args(argv):
     except UsageError as exc:
         exc.command = command
         raise
-    if args is not None and unknown:
-        raise UsageError("unrecognized arguments: " + " ".join(unknown))
+    if args is not None and i:
+        raise UsageError("unrecognized arguments: " + " ".join(argv[:i]))
     return args
 
 

@@ -102,14 +102,11 @@ class QPSpace(Value):
     def __init__(self, points, dist) -> None:
         points = validate_symbols(points)
         n = len(points)
-        rows = tuple(tuple(x if type(x) is Fraction else _exact(x)
-                           for x in row) for row in dist)
+        rows = tuple(tuple(map(_exact, row)) for row in dist)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DomainError(
                 f"distance matrix must be {n}x{n} to match the point list"
             )
-        if any(x.numerator < 0 for row in rows for x in row):
-            raise DomainError("distances must be non-negative")
         super().__init__(points, rows)
 
     @cached_property
@@ -242,12 +239,16 @@ def _triangles_hold(rows, i: int) -> bool:
 
 
 def _exact(value) -> Fraction:
-    """An int distance entry as a ``Fraction``; any other type but
-    ``Fraction`` raises ``DomainError``."""
-    if type(value) is not int:
-        raise DomainError(
-            f"distance entries must be int or Fraction, got {_shown(value)}")
-    return Fraction(value)
+    """A distance entry, ``int`` or ``Fraction``, as a ``Fraction``; any
+    other type, or a negative value, raises ``DomainError``."""
+    if type(value) is not Fraction:
+        if type(value) is not int:
+            raise DomainError(f"distance entries must be int or Fraction, "
+                              f"got {_shown(value)}")
+        value = Fraction(value)
+    if value.numerator < 0:
+        raise DomainError("distances must be non-negative")
+    return value
 
 
 def _entry(value, i: int, j: int) -> Fraction:

@@ -57,7 +57,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from .documents import build, check_document, read_json
 from .errors import DomainError, FormatError
 from .flow import min_cost_flow
-from .words import AbelianWord, Value, check_generators, validate_symbols
+from .words import (AbelianWord, Value, check_generators, check_int,
+                    validate_symbols)
 
 if TYPE_CHECKING:
     from .qpspace import QPSpace
@@ -125,11 +126,11 @@ class Entourage(Value):
     def compose(self, other: "Entourage") -> "Entourage":
         if self.points != other.points:
             raise DomainError("entourages live on different point lists")
-        n = len(self.points)
-        rows = tuple(
-            tuple(any(self.relation[i][k] and other.relation[k][j]
-                      for k in range(n)) for j in range(n))
-            for i in range(n))
+        # row x: the union of the rows y of V with (x, y) in U, which
+        # include row x itself, as U is reflexive
+        rows = tuple(tuple(map(any, zip(*(
+            v_row for hit, v_row in zip(row, other.relation) if hit))))
+            for row in self.relation)
         return Entourage(self.points, rows)
 
     def subset_of(self, other: "Entourage") -> bool:
@@ -245,6 +246,9 @@ def composition_contained(seq: EntourageSequence, k: int,
     seq.ensure_tripling_chain()
     if not ks:
         raise DomainError("need at least one composition index")
+    check_int("k", k)
+    for idx in ks:
+        check_int("ks entries", idx)
     for idx in (k, *ks):
         if not 0 <= idx < len(seq):
             raise DomainError(f"index {idx} outside the sequence")
@@ -317,13 +321,11 @@ class FiniteSpace(Value):
         super().__init__(points, canon)
 
     def minimal_open(self, x: str) -> frozenset[str]:
+        """The first open set holding x: ``opens`` is sorted by size and
+        closed under intersection, so that one is the least."""
         if x not in self.points:
             raise DomainError(f"unknown point {x!r}")
-        out = frozenset(self.points)
-        for o in self.opens:
-            if x in o:
-                out &= o
-        return out
+        return next(o for o in self.opens if x in o)
 
     def is_t0(self) -> bool:
         mins = [self.minimal_open(x) for x in self.points]
@@ -454,6 +456,7 @@ def _decompose(g: AbelianWord, seq: EntourageSequence, bound: int,
     ``search(levels, b)`` at the least b in low..bound where it hits, or
     None; a miss at ``bound`` is final."""
     check_generators(seq[0], g.generators())
+    check_int(name, bound)
     if not 1 <= bound <= len(seq):
         raise DomainError(f"{name} must lie in 1..{len(seq)}, got {bound}")
     if g.coefficient_sum() != 0:

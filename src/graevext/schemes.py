@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .errors import CapExceeded, DomainError
 from .qpspace import QPSpace, signed_extension
-from .words import Letter, Value, Word
+from .words import Letter, Value, Word, check_int
 
 DEFAULT_SCHEME_CAP = 10
 
@@ -53,15 +53,17 @@ def _pairing_problem(pairs: tuple[tuple[int, int], ...]) -> str | None:
         indices.extend((a, b))
     if sorted(indices) != list(range(1, 2 * len(pairs) + 1)):
         return "pairs do not partition 1..2n"
+    # sorted pairs with distinct ends have a < c, so only c < b < d crosses
     for i, (a, b) in enumerate(pairs):
         for c, d in pairs[i + 1:]:
-            if a < c < b < d or c < a < d < b:
+            if c < b < d:
                 return f"pairs ({a},{b}) and ({c},{d}) cross"
     return None
 
 
 def enumerate_schemes(n: int) -> Iterator[Scheme]:
     """Yield every scheme on {1..2n} exactly once, lexicographically."""
+    check_int("n", n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n > DEFAULT_SCHEME_CAP:

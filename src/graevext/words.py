@@ -62,6 +62,13 @@ def check_generators(space, gens) -> None:
             raise DomainError(f"unknown generator {gen!r}")
 
 
+def check_int(name: str, value) -> None:
+    """Raise ``DomainError`` naming the argument ``name`` unless ``value``
+    is an ``int`` (not a ``bool``)."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be int, got {value!r}")
+
+
 class Value:
     """Immutable value of the fields named in ``_fields``, one positional
     argument each: equal to a value of its own class with equal fields,

@@ -254,6 +254,17 @@ def test_unknown_subcommand(capsys):
     assert main([]) == 1
 
 
+def test_unknown_options_before_the_command_are_named(capsys):
+    code, out, err = run(capsys, "--bogus", "schemes", "--n", "2")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == \
+        "graevext: error: unrecognized arguments: --bogus"
+    code, _, err = run(capsys, "--bogus", "-x", "schemes", "--n", "2")
+    assert code == 1
+    assert err.splitlines()[-1] == \
+        "graevext: error: unrecognized arguments: --bogus -x"
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
@@ -458,9 +469,10 @@ def _modules_loaded(*argv):
 
 
 def test_commands_import_only_what_they_run(tmp_path):
-    """Each command loads the modules it runs and not those it has no use
-    for; none loads argparse, the gettext and locale that argparse
-    imports, dataclasses or inspect."""
+    """Each command loads exactly the package modules that ``cli``'s
+    docstring lists for it, and ``fractions`` where that list says so;
+    none loads argparse, the gettext and locale that argparse imports,
+    dataclasses or inspect."""
     _write_entourage(tmp_path / "u.json", ("x", "y"), [("x", "y")])
     seq = _write_chain(tmp_path, "seq.json", ["u.json"])
     (tmp_path / "full.json").write_text(json.dumps(
@@ -470,30 +482,30 @@ def test_commands_import_only_what_they_run(tmp_path):
     topo = tmp_path / "topo.json"
     topo.write_text(json.dumps({"points": ["a", "b"],
                                 "opens": [[], ["a"], ["a", "b"]]}))
-    quniform, norms, qpspace, flow = (f"graevext.{m}" for m in
-                                      ("quniform", "norms", "qpspace", "flow"))
-    entourage_only = (norms, qpspace, "fractions")
-    for argv, needed, unused in (
-            (["validate", "--space", SPACE], (qpspace,), (quniform, norms)),
-            (["norm", "--space", SPACE, "--word", "a b^-1"], (norms,),
-             (quniform,)),
+    # the lists of cli's docstring, each with "fractions" where it loads
+    space = {"documents", "words", "qpspace", "fractions"}
+    schemes = space | {"schemes"}
+    norms = schemes | {"norms", "flow"}
+    entourages = {"documents", "words", "flow", "quniform"}
+    for argv, expected in (
+            (["validate", "--space", SPACE], space),
+            (["norm", "--space", SPACE, "--word", "a b^-1"], norms),
             (["norm", "--space", SPACE, "--abelian", "--word", "-a + b"],
-             (norms, flow), (quniform,)),
-            (["dist", "--space", SPACE, "--from", "a", "--to", "b"], (norms,),
-             (quniform,)),
-            (["member", "--space", SPACE, "--word", "a", "--eps", "1"],
-             (norms,), (quniform,)),
-            (["schemes", "--n", "3"], ("graevext.schemes",), (quniform, norms)),
-            (["frink", "--chain", str(chain)], (quniform,), (norms,)),
+             norms),
+            (["dist", "--space", SPACE, "--from", "a", "--to", "b"], norms),
+            (["member", "--space", SPACE, "--word", "a", "--eps", "1"], norms),
+            (["schemes", "--n", "3"], schemes),
+            (["frink", "--chain", str(chain)],
+             entourages | {"qpspace", "fractions"}),
             (["lemma5", "--chain", str(chain), "--k", "0", "--ks", "1"],
-             (quniform,), (norms, qpspace)),
-            (["ubase", "--topology", str(topo)], (quniform,), entourage_only),
+             entourages | {"fractions"}),
+            (["ubase", "--topology", str(topo)], entourages),
             (["wmember", "--word", "-x + y", "--seq", str(seq), "--n", "1"],
-             (quniform, flow), entourage_only)):
-        loaded = _modules_loaded(*argv)
-        assert loaded.issuperset(needed), argv
-        assert not loaded & {*unused, "argparse", "gettext", "locale",
-                             "dataclasses", "inspect"}, argv
+             entourages)):
+        assert _modules_loaded(*argv) == {
+            "graevext", "graevext.cli", "graevext.errors",
+            *(m if m == "fractions" else f"graevext.{m}" for m in expected)}, \
+            argv
 
 
 def test_output_values_reparse(capsys):

@@ -197,6 +197,11 @@ def test_constructor_takes_only_int_and_fraction_entries():
             QPSpace(("a", "b"), ((0, bad), (1, 0)))
         assert str(info.value) == \
             f"distance entries must be int or Fraction, got {bad!r}"
+    # one walk checks type and sign, so the first fault met is reported
+    for negative in (-1, F(-1, 2)):
+        with pytest.raises(DomainError) as info:
+            QPSpace(("a", "b"), ((0, negative), (0.1, 0)))
+        assert str(info.value) == "distances must be non-negative"
 
 
 def test_load_parses_each_distinct_text_once(monkeypatch):

@@ -11,7 +11,8 @@ import pytest
 from graevext import (AbelianWord, DomainError, Entourage, EntourageSequence,
                       FiniteSpace, FormatError, abelian_norm,
                       composition_contained, decompose_prefix,
-                      decompose_subset, entourage_metric, frink_metric,
+                      decompose_subset, entourage_metric, enumerate_schemes,
+                      frink_metric,
                       load_entourage, load_topology, parse_abelian,
                       quniform, universal_base)
 from .conftest import (min_plus_close, random_entourage, random_qpspace,
@@ -207,6 +208,25 @@ def test_composition_contained_preconditions():
     broken = EntourageSequence((Entourage.diagonal(PTS), Entourage.full(PTS)))
     with pytest.raises(DomainError):
         composition_contained(broken, 0, [1])
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n", lambda seq, g, x: list(enumerate_schemes(x))),
+    ("k_max", lambda seq, g, x: decompose_prefix(g, seq, x)),
+    ("n", lambda seq, g, x: decompose_subset(g, seq, x)),
+    ("k", lambda seq, g, x: composition_contained(seq, x, [2])),
+    ("ks entries", lambda seq, g, x: composition_contained(seq, 0, [x, 2])),
+], ids=["enumerate_schemes", "decompose_prefix", "decompose_subset",
+        "composition_contained-k", "composition_contained-ks"])
+@pytest.mark.parametrize("bad", [1.0, 1.5, True, F(1)], ids=repr)
+def test_integer_arguments_take_only_int(name, call, bad):
+    seq = EntourageSequence((Entourage.full(PTS), Entourage.diagonal(PTS),
+                             Entourage.diagonal(PTS)))
+    g = parse_abelian("-x + y", PTS)
+    assert call(seq, g, 1)
+    with pytest.raises(DomainError) as info:
+        call(seq, g, bad)
+    assert str(info.value) == f"{name} must be int, got {bad!r}"
 
 
 def test_frink_all_full():
