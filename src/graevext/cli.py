@@ -56,9 +56,9 @@ def _group(args):
 def _print_norm(args, space, element) -> int:
     from .norms import norm
     value, witness = norm(space, element, args.cap)
-    print(value)
-    if args.witness:
-        print(witness)
+    # the witness text is built before anything prints, so a witness too
+    # large to write leaves stdout empty
+    print(f"{value}\n{witness}" if args.witness else value)
     return 0
 
 

@@ -39,9 +39,11 @@ groups and Polishable subgroups, Adv. Math. 2007).  A proof sketch:
   delta(w_p, w_q) <= delta(w_p, x) + delta(x^-1, w_q), from the triangle
   inequality of rho once in each orientation,
   rho(w_p^-1, w_q) <= rho(w_p^-1, x) + rho(x, w_q) and
-  rho(w_q^-1, w_p) <= rho(w_q^-1, x^-1) + rho(x^-1, w_p).  This is the
-  step where asymmetry matters, and it holds because an arc averages
-  both orientations.  If the e of x sits between them, drop x and x^-1
+  rho(w_q^-1, w_p) <= rho(w_q^-1, x^-1) + rho(x^-1, w_p).  The two
+  orientations agree, since rho(u^-1, v) = rho(v^-1, u) for all letters
+  (``signed_extension`` swaps two inverse-or-neutral letters for their
+  inverses in reverse order), so either one alone gives the bound.
+  If the e of x sits between them, drop x and x^-1
   and let that e take over the arc of x^-1: the cost falls from
   1 + delta(x^-1, w_q) to delta(e, w_q) <= 1.  Contracting neighbouring
   positions keeps a scheme non-crossing.  Each step of (2) shortens w
@@ -75,19 +77,25 @@ the least cost of shipping the negative coefficients of h into the
 positive ones, one node per generator and one unit per letter, where a
 unit from x to y costs d(x, y), plus one for each unit left unshipped: a
 transportation problem, which ``flow.min_cost_flow`` solves exactly by
-successive shortest paths on the exact ``Fraction`` distances.  A
-balanced element (coefficient sum zero) has no unshipped units, so its
-transport needs no bound on d: ``abelian_norm_balanced`` computes it
-over any valid space.
+successive shortest paths.  Its costs are the integers of
+``QPSpace.integer_view`` over their one scale, or the ``Fraction``
+distances themselves when the space has no such view; the kernel only
+adds, negates and compares them, and the value is read off once as the
+shipped cost over the scale plus the unshipped units.  A balanced
+element (coefficient sum zero) has no unshipped units, so its transport
+needs no bound on d: ``abelian_norm_balanced`` computes it over any
+valid space.
 
-The abelian witness lists, for each negative generator x of h in term
-order, its flow to each positive generator y in term order, one pair
-(x, y) per unit; then the unshipped letters in term order, two at a time
-as (u^-1, v) at cost 2, and an odd last one as (u^-1, e) at cost 1.
-Among flows of equal cost, the one the kernel reaches (ties to the first
-nearest positive generator in term order) is reported.  The witness is
-priced again with ``signed_extension`` before it is returned, once per
-run of equal pairs, so a large multiplicity costs one call.  The
+The abelian witness is a list of runs, each a pair and its number of
+units, so its size does not grow with the exponents.  Unit by unit it
+lists, for each negative generator x of h in term order, its flow to
+each positive generator y in term order, one pair (x, y) per unit; then
+the unshipped letters in term order, two at a time as (u^-1, v) at cost
+2, and an odd last one as (u^-1, e) at cost 1.  Among flows of equal
+cost, the one the kernel reaches (ties to the first nearest positive
+generator in term order) is reported.  The witness is priced again on
+the ``Fraction`` values of ``signed_extension`` before it is returned,
+once per run, so the check does not rest on the integer costs.  The
 exhaustive pairing search is kept in the test suite as an oracle.
 
 All caps are plain size guards; exceeding one raises ``CapExceeded``
@@ -98,7 +106,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import groupby
 
 from .errors import CapExceeded, DomainError
 from .flow import min_cost_flow
@@ -121,9 +128,20 @@ class NormWitness(Value):
 
 
 class PairingWitness(Value):
-    """Oriented difference pairs realizing an abelian norm value."""
+    """Oriented difference pairs realizing an abelian norm value, held as
+    ``runs``: ``((u, v), units)`` for ``units`` >= 1 equal pairs in a row."""
 
-    _fields = ("pairs", "value")
+    _fields = ("runs", "value")
+
+    @property
+    def pairs(self) -> tuple[tuple[Letter, Letter], ...]:
+        """The pairs one unit at a time, built on each call; a run too
+        long to hold fails at once with ``OverflowError`` or
+        ``MemoryError``."""
+        out: list[tuple[Letter, Letter]] = []
+        for pair, units in self.runs:
+            out += [pair] * units
+        return tuple(out)
 
     def __str__(self) -> str:
         body = " ".join(f"({u.token()},{v.token()})" for u, v in self.pairs)
@@ -254,24 +272,44 @@ def _abelian_match(space: QPSpace,
     not price to the value."""
     supply = {x: -m for x, m in h.terms if m < 0}
     demand = {y: m for y, m in h.terms if m > 0}
-    flow, _ = min_cost_flow(supply, demand, {(x, y): space.d(x, y)
-                                             for x in supply for y in demand})
-    pairs = []
+    scale, rows = space.integer_view or (1, space.dist)
+    index = space.index
+    costs = {(x, y): rows[index[x]][index[y]] for x in supply for y in demand}
+    flow, _ = min_cost_flow(supply, demand, costs)
+    runs = []
     left = dict(h.terms)
+    shipped = 0
     for (x, y), units in flow.items():
-        pairs += [(Letter(x, 1), Letter(y, 1))] * units
-        left[x] += units
-        left[y] -= units
-    excess = list(AbelianWord.from_mapping(left).letters())
-    value = sum((space.d(x, y) * units for (x, y), units in flow.items()),
-                Fraction(len(excess)))
-    if len(excess) % 2:
-        excess.append(Letter.neutral())
-    pairs += [(u.inverse(), v) for u, v in zip(excess[::2], excess[1::2])]
-    if sum((signed_extension(space, u, v) * len(list(run))
-            for (u, v), run in groupby(pairs)), Fraction(0)) != value:
+        if units:
+            runs.append(((Letter(x, 1), Letter(y, 1)), units))
+            shipped += costs[x, y] * units
+            left[x] += units
+            left[y] -= units
+    # the unshipped letters in term order, two at a time; an odd letter
+    # left over from one generator pairs with the next one's first letter
+    excess, carry = 0, None
+    for gen, m in left.items():
+        if not m:
+            continue
+        letter, units = Letter(gen, 1 if m > 0 else -1), abs(m)
+        excess += units
+        if carry is not None:
+            runs.append(((carry.inverse(), letter), 1))
+            units -= 1
+        if units >= 2:
+            runs.append(((letter.inverse(), letter), units // 2))
+        carry = letter if units % 2 else None
+    if carry is not None:
+        runs.append(((carry.inverse(), Letter.neutral()), 1))
+    value = Fraction(shipped, scale) + excess
+    # priced over the common denominator of the prices themselves, so the
+    # check neither reads the integer costs nor adds a Fraction per run
+    prices = [(signed_extension(space, u, v), units) for (u, v), units in runs]
+    den = math.lcm(*(price.denominator for price, _ in prices))
+    if Fraction(sum(price.numerator * (den // price.denominator) * units
+                    for price, units in prices), den) != value:
         raise AssertionError(f"abelian witness does not price to {value}")
-    return value, PairingWitness(tuple(pairs), value)
+    return value, PairingWitness(tuple(runs), value)
 
 
 def abelian_dist(space: QPSpace, g: AbelianWord, h: AbelianWord,

@@ -188,7 +188,12 @@ class QPSpace(Value):
         return QPSpace(self.points,
                        tuple(tuple(min(x, ONE) for x in row) for row in self.dist))
 
-    def scale(self, factor: Fraction) -> "QPSpace":
+    def scale(self, factor: int | Fraction) -> "QPSpace":
+        """Every distance times ``factor``, a non-negative ``int`` (not
+        ``bool``) or ``Fraction``."""
+        if type(factor) not in (int, Fraction):
+            raise DomainError(
+                f"scale factor must be an int or a Fraction, got {_shown(factor)}")
         if factor < 0:
             raise DomainError("scale factor must be non-negative")
         return QPSpace(self.points,

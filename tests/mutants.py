@@ -6,17 +6,18 @@ Run from anywhere, with pytest and hypothesis installed:
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
 
-``MUTANTS`` maps a name to one edit of ``src/graevext``: the file, the
-exact text to replace (it must occur once), its replacement, and the
-tests expected to kill the mutant.  For each edit the tool copies
-``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
-applies the edit to the copy, runs the listed tests there, and prints
-``killed`` with the tests that failed, or ``survived``.  A run past
-``TIMEOUT`` counts as killed.  It exits 0 when every mutant is killed,
-1 when one survives or cannot run (its text not found once, or no test
-failed or passed), and 2 for an unknown name.  The tree itself is never edited.  It needs only the standard
-library besides the test suite's own dependencies, and pytest does not
-collect it (its name does not start with ``test_``).
+``MUTANTS`` maps a name to one edit of ``src/`` or ``tests/``: the file,
+relative to the repository root, the exact text to replace (it must
+occur once), its replacement, and the tests expected to kill the
+mutant.  For each edit the tool copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, applies the edit to the
+copy, runs the listed tests there, and prints ``killed`` with the tests
+that failed, or ``survived``.  A run past ``TIMEOUT`` counts as killed.
+It exits 0 when every mutant is killed, 1 when one survives or cannot
+run (its text not found once, or no test failed or passed), and 2 for
+an unknown name.  The tree itself is never edited.  It needs only the
+standard library besides the test suite's own dependencies, and pytest
+does not collect it (its name does not start with ``test_``).
 """
 
 from __future__ import annotations
@@ -34,104 +35,131 @@ TIMEOUT = 300
 QP, NORMS, QU, SCHEMES = ("tests/test_qpspace.py", "tests/test_norms.py",
                           "tests/test_quniform.py", "tests/test_schemes.py")
 CLI, PROPS = "tests/test_cli.py", "tests/test_properties.py"
+SRC = "src/graevext"
 
-# name -> (file under src/graevext, text, replacement, killing tests)
+# name -> (file under the root, text, replacement, killing tests)
 MUTANTS = {
     # the integer screen and the exact loop of QPSpace.validate
     "screen-le-as-lt": (
-        "qpspace.py", "from operator import le", "from operator import lt as le",
+        f"{SRC}/qpspace.py", "from operator import le", "from operator import lt as le",
         (f"{QP}::test_validate_against_brute_force",
          f"{QP}::test_valid_space_validation_does_no_fraction_arithmetic")),
     "validate-last-k-skipped": (
-        "qpspace.py", "                for k in range(n):\n",
+        f"{SRC}/qpspace.py", "                for k in range(n):\n",
         "                for k in range(n - 1):\n",
         (f"{QP}::test_validate_against_brute_force",)),
     # the wmember cut
     "cut-arcs-reversed": (
-        "quniform.py", "arcs = {(x, y): 0 for level",
+        f"{SRC}/quniform.py", "arcs = {(x, y): 0 for level",
         "arcs = {(y, x): 0 for level",
         (f"{QU}::test_cut_needs_a_flow_not_reachability",
          f"{QU}::test_cut_against_brute_force")),
     "cut-last-prefix-level-left-out": (
-        "quniform.py", '"k_max", 1, k_max,', '"k_max", 1, k_max - 1,',
+        f"{SRC}/quniform.py", '"k_max", 1, k_max,', '"k_max", 1, k_max - 1,',
         (f"{QU}::test_cut_against_brute_force",
          f"{QU}::test_decompose_prefix_examples")),
     # the min-cost flow and the abelian norm on it
     "flow-first-reachable-demand": (
-        "flow.py", "end = min(ends, key=dist.__getitem__)", "end = ends[0]",
+        f"{SRC}/flow.py", "end = min(ends, key=dist.__getitem__)", "end = ends[0]",
         (f"{NORMS}::test_abelian_assignment_crosses_term_order",
          f"{NORMS}::test_flow_against_permutations",
          f"{NORMS}::test_conjugate_space_law")),
     "flow-reverse-arcs-ignored": (
-        "flow.py", "                     if flow[x, y]]",
+        f"{SRC}/flow.py", "                     if flow[x, y]]",
         "                     if False]",
         (f"{NORMS}::test_abelian_flow_reroutes_the_cheapest_pair",
          f"{NORMS}::test_flow_against_permutations")),
     "abelian-costs-transposed": (
-        "norms.py", "{(x, y): space.d(x, y)", "{(x, y): space.d(y, x)",
+        f"{SRC}/norms.py", "rows[index[x]][index[y]]", "rows[index[y]][index[x]]",
         (f"{NORMS}::test_abelian_assignment_crosses_term_order",
          f"{NORMS}::test_abelian_norm_matches_oracle",
          f"{PROPS}::test_abelian_triangle_law")),
     "abelian-excess-charged-2": (
-        "norms.py", "Fraction(len(excess)))", "Fraction(2 * len(excess)))",
+        f"{SRC}/norms.py", "+ excess\n", "+ 2 * excess\n",
         (f"{NORMS}::test_abelian_norm_matches_oracle",
          f"{PROPS}::test_abelian_norm_against_oracle",
          f"{PROPS}::test_abelian_norm_at_most_free_norm")),
+    "abelian-value-not-scaled": (
+        f"{SRC}/norms.py", "Fraction(shipped, scale)", "Fraction(shipped)",
+        (f"{NORMS}::test_abelian_norm_matches_oracle",
+         f"{PROPS}::test_abelian_norm_against_oracle",
+         f"{PROPS}::test_balanced_norm_is_homogeneous")),
+    "abelian-odd-carry-lost": (
+        f"{SRC}/norms.py", "            units -= 1\n", "",
+        (f"{NORMS}::test_abelian_witness_sound",
+         f"{PROPS}::test_abelian_norm_against_oracle")),
+    "abelian-price-check-ignores-units": (
+        f"{SRC}/norms.py", "(den // price.denominator) * units",
+        "(den // price.denominator)",
+        (f"{NORMS}::test_abelian_large_multiplicity",
+         f"{PROPS}::test_balanced_norm_is_homogeneous")),
+    # the costs of a space with no integer view, the property's fine spaces
+    "abelian-fraction-costs-transposed": (
+        f"{SRC}/norms.py", "(1, space.dist)", "(1, tuple(zip(*space.dist)))",
+        (f"{PROPS}::test_abelian_norms_without_integer_view_against_oracle",)),
     # the free norm: delta and the interval DP
     "arc-cost-flipped": (
-        "schemes.py", "return (signed_extension(space, u.inverse(), v)\n"
+        f"{SRC}/schemes.py", "return (signed_extension(space, u.inverse(), v)\n"
         "            + signed_extension(space, v.inverse(), u)) / 2",
         "return (signed_extension(space, v, u.inverse())\n"
         "            + signed_extension(space, u, v.inverse())) / 2",
         (f"{PROPS}::test_free_norm_against_search",)),
     "arc-cost-squared": (
-        "schemes.py", "return (signed_extension(space, u.inverse(), v)\n"
+        f"{SRC}/schemes.py", "return (signed_extension(space, u.inverse(), v)\n"
         "            + signed_extension(space, v.inverse(), u)) / 2",
         "return ((signed_extension(space, u.inverse(), v)\n"
         "            + signed_extension(space, v.inverse(), u)) / 2) ** 2",
         (f"{PROPS}::test_free_triangle_law",
          f"{PROPS}::test_free_norm_against_search")),
     "dp-split-outside-dropped": (
-        "norms.py", "split = arcs[k] + inner[k] + cost[k + 1][j]",
+        f"{SRC}/norms.py", "split = arcs[k] + inner[k] + cost[k + 1][j]",
         "split = arcs[k] + inner[k]",
         (f"{PROPS}::test_free_norm_against_search",
          f"{PROPS}::test_free_norm_conjugation_invariant")),
     # the space loader
     "loader-caches-non-str": (
-        "qpspace.py", "if type(x) is not str:", "if isinstance(x, (list, dict)):",
-        (f"{PROPS}::test_load_matches_one_parse_per_entry_on_each_fault",)),
-    "loader-flag-ignored": (
-        "qpspace.py", "if flag and not space.is_bounded_by_one():", "if False:",
+        f"{SRC}/qpspace.py", "if type(x) is not str:",
+        "if isinstance(x, (list, dict)):",
         (f"{PROPS}::test_load_matches_one_parse_per_entry",
          f"{PROPS}::test_load_matches_one_parse_per_entry_on_each_fault")),
+    "loader-flag-ignored": (
+        f"{SRC}/qpspace.py", "if flag and not space.is_bounded_by_one():", "if False:",
+        (f"{PROPS}::test_load_matches_one_parse_per_entry",
+         f"{PROPS}::test_load_matches_one_parse_per_entry_on_each_fault")),
+    # the test helpers: the closure behind every drawn or random space
+    "closure-last-step-dropped": (
+        "tests/conftest.py", "    for k in range(n):\n", "    for k in range(n - 1):\n",
+        (f"{NORMS}::test_abelian_norm_matches_oracle",
+         f"{PROPS}::test_abelian_norm_against_oracle")),
     # minimal_open, compose, the crossing test, the entry check and the
     # top-level unknown options
     "minimal-open-last": (
-        "quniform.py", "next(o for o in self.opens if x in o)",
+        f"{SRC}/quniform.py", "next(o for o in self.opens if x in o)",
         "next(o for o in reversed(self.opens) if x in o)",
         (f"{QU}::test_universal_base_sierpinski",
          f"{QU}::test_universal_base_is_unique_compatible_preorder")),
     "compose-intersects-rows": (
-        "quniform.py", "rows = tuple(tuple(map(any, zip(*(",
+        f"{SRC}/quniform.py", "rows = tuple(tuple(map(any, zip(*(",
         "rows = tuple(tuple(map(all, zip(*(",
         (f"{QU}::test_compose_matches_matrix_oracle",
          f"{QU}::test_compose_identity_and_convention")),
     "crossing-unchecked": (
-        "schemes.py", "if c < b < d:", "if c < b < d < a:",
+        f"{SRC}/schemes.py", "if c < b < d:", "if c < b < d < a:",
         (f"{SCHEMES}::test_is_scheme",
          f"{SCHEMES}::test_scheme_constructor_validates")),
     "negative-entries-accepted": (
-        "qpspace.py", "    if value.numerator < 0:\n", "    if False:\n",
+        f"{SRC}/qpspace.py", "    if value.numerator < 0:\n", "    if False:\n",
         (f"{QP}::test_constructor_takes_only_int_and_fraction_entries",)),
     "unknown-options-shifted": (
-        "cli.py", '" ".join(argv[:i])', '" ".join(argv[1:i])',
+        f"{SRC}/cli.py", '" ".join(argv[:i])', '" ".join(argv[1:i])',
         (f"{CLI}::test_unknown_options_before_the_command_are_named",)),
     # integer arguments and the modules a command loads
     "int-check-dropped": (
-        "quniform.py", "    check_int(name, bound)\n", "",
+        f"{SRC}/quniform.py", "    check_int(name, bound)\n", "",
         (f"{QU}::test_integer_arguments_take_only_int",)),
     "stray-import": (
-        "quniform.py", "import os\n", "import os\nfrom fractions import Fraction\n",
+        f"{SRC}/quniform.py", "import os\n",
+        "import os\nfrom fractions import Fraction\n",
         (f"{CLI}::test_commands_import_only_what_they_run",)),
 }
 
@@ -145,7 +173,7 @@ def run(path: str, text: str, replacement: str, tests) -> str:
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", work)
-        target = work / "src" / "graevext" / path
+        target = work / path
         source = target.read_text(encoding="utf-8")
         if source.count(text) != 1:
             return f"not applied: the text occurs {source.count(text)} times"

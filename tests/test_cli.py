@@ -90,17 +90,36 @@ def test_identity_under_negative_cap_exit_code(capsys):
     assert (code, out) == (2, "") and "cap -1" in err
 
 
+HUGE_ABELIAN = "-99999999999999999999a + 99999999999999999999b"
+
+
 @pytest.mark.parametrize("argv", [
     ["--word", "a^99999999999999999999"],
-    ["--abelian", "--word", "-99999999999999999999a + 99999999999999999999b",
-     "--cap", "99999999999999999999999"],
+    ["--abelian", "--word", HUGE_ABELIAN, "--cap", "99999999999999999999999",
+     "--witness"],
 ], ids=["free", "abelian"])
 def test_oversized_exponent_exit_code(capsys, argv):
     """An exponent past the largest list size fails before anything is
-    allocated, and exits 2 with one error line, like a cap."""
+    allocated, and exits 2 with one error line, like a cap: for the
+    abelian element, only once its per-unit witness text is asked for,
+    and before the value prints."""
     code, out, err = run(capsys, "norm", "--space", SPACE, *argv)
     assert (code, out) == (2, "")
     assert err.count("error:") == 1 and "too large" in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["norm", "--word", HUGE_ABELIAN, "--cap", "99999999999999999999999"],
+     "99999999999999999999/4"),
+    (["dist", "--from", "0", "--to", "-9999999999a + 9999999999b",
+      "--cap", "99999999999999999999"], "9999999999/4"),
+], ids=["norm", "dist"])
+def test_oversized_abelian_exponents_answer_without_witness(capsys, argv, value):
+    """The abelian witness is held as runs, so without ``--witness`` a
+    huge exponent under a raised cap costs no more than a small one."""
+    command, *rest = argv
+    code, out, err = run(capsys, command, "--space", SPACE, "--abelian", *rest)
+    assert (code, out, err) == (0, value + "\n", "")
 
 
 def test_validate(capsys, tmp_path):

@@ -271,6 +271,24 @@ def test_cap_refuses_the_identity_below_zero(two_point_space):
     assert value == 0 and witness.pairs == ()
 
 
+def test_abelian_witness_runs_carry_an_odd_letter(two_point_space):
+    """Unshipped letters pair in term order across generators: the odd a
+    of 3a pairs with the first b, and an odd letter left over with e."""
+    a, b, e = Letter("a", 1), Letter("b", 1), Letter.neutral()
+    value, witness = abelian_norm(two_point_space,
+                                  parse_abelian("3a + 2b", ("a", "b")))
+    assert value == 5
+    assert witness.runs == (((a.inverse(), a), 1), ((a.inverse(), b), 1),
+                            ((b.inverse(), e), 1))
+    value, witness = abelian_norm(two_point_space,
+                                  parse_abelian("-a - 4b + 2a", ("a", "b")))
+    assert value == F(1, 2) + 3
+    assert witness.runs == (((b, a), 1), ((b, b.inverse()), 1),
+                            ((b, e), 1))
+    assert witness.pairs == ((b, a), (b, b.inverse()), (b, e))
+    assert str(witness) == "value=7/2 pairs=[(b,a) (b,b^-1) (b,e)]"
+
+
 def test_balanced_examples(two_point_space):
     sp = two_point_space
     value, witness = abelian_norm_balanced(sp, parse_abelian("-a + b", sp.points))

@@ -185,6 +185,18 @@ def test_unknown_point_and_negative_scale():
     assert sp.scale(F(1, 2)).d("a", "b") == F(1, 2)
 
 
+@pytest.mark.parametrize("factor", [True, False, 0.5, 2.0, "2", None, [2]],
+                         ids=repr)
+def test_scale_takes_only_int_and_fraction(factor):
+    sp = space("ab", [[0, 1], [F(1, 2), 0]])
+    with pytest.raises(DomainError) as info:
+        sp.scale(factor)
+    assert str(info.value) == \
+        f"scale factor must be an int or a Fraction, got {factor!r}"
+    assert sp.scale(3).dist == sp.scale(F(3)).dist == \
+        ((0, 3), (F(3, 2), 0))
+
+
 def test_constructor_takes_only_int_and_fraction_entries():
     assert QPSpace(("a", "b"), ((0, F(1, 2)), (1, 0))).dist == \
         ((F(0), F(1, 2)), (F(1), F(0)))

@@ -27,7 +27,7 @@ BUILDERS = {
     NormWitness: lambda: NormWitness(Word((Letter("a", 1), Letter("b", -1))),
                                      Scheme(((1, 2),)), F(1, 2)),
     PairingWitness: lambda: PairingWitness(
-        ((Letter("a", -1), Letter("b", 1)),), F(1, 2)),
+        (((Letter("a", -1), Letter("b", 1)), 2),), F(1, 2)),
     Scheme: lambda: Scheme(((1, 4), (2, 3))),
     Entourage: lambda: Entourage.from_pairs(XY, [("x", "y")]),
     EntourageSequence: lambda: EntourageSequence(
