@@ -27,7 +27,7 @@ _HOMES = {
     "quniform": ("Entourage", "EntourageSequence", "FiniteSpace",
                  "PrefixDecomposition", "SubsetDecomposition",
                  "composition_contained", "decompose_prefix",
-                 "decompose_subset", "entourage_metric", "frink_metric",
+                 "decompose_subset", "frink_metric",
                  "load_entourage", "load_sequence", "load_topology",
                  "universal_base"),
     "schemes": ("Scheme", "enumerate_schemes", "pairing_cost"),

@@ -15,8 +15,8 @@ delta(g_i, e).  An interval DP over the segments of g finds it in O(n^3)
 time and O(n^2) space: the first letter of a segment either takes a
 neutral letter or pairs with a later letter k, which splits off the
 inside and the outside of the arc as two independent segments.  Costs
-are integers over one common denominator, and the table is filled
-bottom-up without recursion.
+are integers over twice the scale of ``QPSpace.integer_view``, and the
+table is filled bottom-up without recursion.
 
 Why this is the Graev-type norm (the minimum of ``pairing_cost`` over
 the almost irreducible words of length at most 2n over the letters of g,
@@ -78,13 +78,11 @@ positive ones, one node per generator and one unit per letter, where a
 unit from x to y costs d(x, y), plus one for each unit left unshipped: a
 transportation problem, which ``flow.min_cost_flow`` solves exactly by
 successive shortest paths.  Its costs are the integers of
-``QPSpace.integer_view`` over their one scale, or the ``Fraction``
-distances themselves when the space has no such view; the kernel only
-adds, negates and compares them, and the value is read off once as the
-shipped cost over the scale plus the unshipped units.  A balanced
-element (coefficient sum zero) has no unshipped units, so its transport
-needs no bound on d: ``abelian_norm_balanced`` computes it over any
-valid space.
+``QPSpace.integer_view`` over their one scale, and the value is read off
+once as the shipped cost over the scale plus the unshipped units.  A
+balanced element (coefficient sum zero) has no unshipped units, so its
+transport needs no bound on d: ``abelian_norm_balanced`` computes it
+over any valid space.
 
 The abelian witness is a list of runs, each a pair and its number of
 units, so its size does not grow with the exponents.  Unit by unit it
@@ -186,11 +184,12 @@ def _interval_dp(space: QPSpace,
     n = len(letters)
     neutral = Letter.neutral()
     kinds = set(letters)
-    delta = {(u, v): arc_cost(space, u, v)
+    # delta halves a sum of two rho, so twice the view's scale clears it
+    scale = 2 * space.integer_view[0]
+    delta = {(u, v): int(arc_cost(space, u, v) * scale)
              for u in kinds for v in kinds | {neutral}}
-    scale = math.lcm(*(x.denominator for x in delta.values()))
-    arc = [[int(delta[u, v] * scale) for v in letters] for u in letters]
-    single = [int(delta[u, neutral] * scale) for u in letters]
+    arc = [[delta[u, v] for v in letters] for u in letters]
+    single = [delta[u, neutral] for u in letters]
 
     cost = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
@@ -272,7 +271,7 @@ def _abelian_match(space: QPSpace,
     not price to the value."""
     supply = {x: -m for x, m in h.terms if m < 0}
     demand = {y: m for y, m in h.terms if m > 0}
-    scale, rows = space.integer_view or (1, space.dist)
+    scale, rows = space.integer_view
     index = space.index
     costs = {(x, y): rows[index[x]][index[y]] for x in supply for y in demand}
     flow, _ = min_cost_flow(supply, demand, costs)

@@ -8,10 +8,8 @@ inequality but need not be symmetric.  Distances here are always
 every entry over the least common multiple of the denominators.  Each
 row is screened for the triangle law, and for the bound by 1, with
 integer passes that run in C; only a row that fails its screen goes
-through the exact ``Fraction`` loop, which words its violations.  When
-that common denominator passes 2**64 the view is not built, since n**2
-integers of its size could exhaust memory, and every row takes the
-exact loop.
+through the exact ``Fraction`` loop, which words its violations.  A
+space whose view would pass ``VIEW_BITS`` is refused as too large.
 
 ``signed_extension`` is the extension rho of d used by the group norms,
 on the full signed alphabet: points, their formal inverses, and the
@@ -36,7 +34,7 @@ from functools import cached_property
 from math import lcm
 from operator import le
 from .documents import build, check_document, read_json
-from .errors import DomainError, FormatError
+from .errors import CapExceeded, DomainError, FormatError
 from .words import Letter, Value, check_generators, validate_symbols
 
 ONE = Fraction(1)
@@ -45,8 +43,10 @@ TWO = Fraction(2)
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # longest rejected value an error message repeats whole
 _SHOWN = 40
-# a common denominator past this builds no integer view (module docstring)
-SCALE_LIMIT = 2 ** 64
+# most bits an integer view may take, n**2 entries of the scale's size:
+# 2**26 keeps a view for 1,000 points over any scale up to 2**64, while
+# a view past it could exhaust memory
+VIEW_BITS = 2 ** 26
 
 
 def _shown(value) -> str:
@@ -123,16 +123,20 @@ class QPSpace(Value):
             raise DomainError(f"unknown point {exc.args[0]!r}") from exc
 
     @cached_property
-    def integer_view(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    def integer_view(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """``(scale, rows)`` with ``dist[i][j] == rows[i][j] / scale``, where
-        ``scale`` is the least common multiple of the denominators; None
-        once that passes ``SCALE_LIMIT``."""
-        scale = 1
+        ``scale`` is the least common multiple of the denominators.  Raises
+        ``CapExceeded`` before any row is built once n**2 entries of the
+        scale's size pass ``VIEW_BITS``."""
+        scale, size = 1, len(self) ** 2
         for row in self.dist:
             for x in row:
                 scale = lcm(scale, x.denominator)
-                if scale > SCALE_LIMIT:
-                    return None
+                if size * scale.bit_length() > VIEW_BITS:
+                    raise CapExceeded(
+                        f"space too large: its integer view, {size} entries "
+                        f"over a common denominator of {scale.bit_length()} "
+                        f"bits or more, would pass {VIEW_BITS} bits")
         return scale, tuple(tuple(x.numerator * (scale // x.denominator)
                                   for x in row) for row in self.dist)
 
@@ -140,19 +144,19 @@ class QPSpace(Value):
         """Report every violated axiom instance; empty means valid.
 
         Rows that pass their integer screen on ``integer_view`` are
-        skipped; the others, or all rows when there is no view, run the
-        exact loop, so the list is the same as with that loop alone.
+        skipped; the others run the exact loop, so the list is the same
+        as with that loop alone.
         """
         out: list[Violation] = []
         pts, dist = self.points, self.dist
         n = len(pts)
-        view = self.integer_view
+        scale, rows = self.integer_view
         for i in range(n):
             if dist[i][i] != 0:
                 out.append(Violation("diagonal", (pts[i],),
                                      f"d({pts[i]}, {pts[i]}) = {dist[i][i]} != 0"))
         for i in range(n):
-            if view is not None and _triangles_hold(view[1], i):
+            if _triangles_hold(rows, i):
                 continue
             for j in range(n):
                 for k in range(n):
@@ -163,7 +167,7 @@ class QPSpace(Value):
                             f"{dist[i][k]} + {dist[k][j]}"))
         if require_bounded:
             for i in range(n):
-                if view is not None and max(view[1][i]) <= view[0]:
+                if max(rows[i]) <= scale:
                     continue
                 for j in range(n):
                     if dist[i][j] > 1:
@@ -187,17 +191,6 @@ class QPSpace(Value):
         """Pointwise ``min(d, 1)``; stays a valid quasi-pseudometric."""
         return QPSpace(self.points,
                        tuple(tuple(min(x, ONE) for x in row) for row in self.dist))
-
-    def scale(self, factor: int | Fraction) -> "QPSpace":
-        """Every distance times ``factor``, a non-negative ``int`` (not
-        ``bool``) or ``Fraction``."""
-        if type(factor) not in (int, Fraction):
-            raise DomainError(
-                f"scale factor must be an int or a Fraction, got {_shown(factor)}")
-        if factor < 0:
-            raise DomainError("scale factor must be non-negative")
-        return QPSpace(self.points,
-                       tuple(tuple(x * factor for x in row) for row in self.dist))
 
     def to_json_dict(self) -> dict:
         return {

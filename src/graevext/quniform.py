@@ -7,8 +7,7 @@ follows the fixed convention ``U o V = {(x, z): exists y, (x, y) in U and
 ``frink_metric`` turns a tripling chain (first element the full relation,
 each later element with its triple composition inside the previous one)
 into an exact quasi-pseudometric whose scale-``2^-i`` balls interleave the
-chain.  ``entourage_metric`` specializes the construction to one entourage
-over the universal base relation of a finite T0 topology.
+chain.
 
 ``decompose_prefix`` and ``decompose_subset`` write a free abelian
 element g as -x_1+y_1-...-x_k+y_k, each pair (x_i, y_i) from another
@@ -18,8 +17,9 @@ lexicographic order of (level_1, pair_1, level_2, pair_2, ...), pairs
 sorted, and remembers failed (level, picks left, remainder) states, so
 its first hit is the least witness.  As every entourage is reflexive, a
 pair (x, x) pads a decomposition by one level and success is monotone
-in the bound: a miss at the bound is final, and after a hit a galloping
-search from the smallest bound finds the least bound that hits.
+in the bound: a galloping search from the smallest bound finds the least
+bound that hits, and it searches at the bound itself, the largest
+search, only when every smaller probe misses.
 
 Before it searches, ``_cut`` tries to refuse g outright.  Let R be the
 pairs (x, y), x != y, of every level the search may use: the first
@@ -359,25 +359,6 @@ def universal_base(space: FiniteSpace) -> Entourage:
     return Entourage(space.points, rows)
 
 
-def entourage_metric(space: FiniteSpace, v: Entourage) -> QPSpace:
-    """Quasi-pseudometric bounded by 1 whose open unit ball refines ``v``.
-
-    Runs the chain construction on [full, v, base, base] for the universal
-    base relation, then rescales so the unit ball matches the level of
-    ``v`` in the chain and caps at 1.  Requires ``v`` to contain the
-    universal base relation.
-    """
-    from fractions import Fraction
-    if v.points != space.points:
-        raise DomainError("entourage and topology use different point lists")
-    base = universal_base(space)
-    if not base.subset_of(v):
-        raise DomainError("entourage must contain the universal base relation")
-    seq = EntourageSequence((Entourage.full(space.points), v, base, base))
-    rho = frink_metric(seq)
-    return rho.scale(Fraction(4)).cap_at_one()
-
-
 class PrefixDecomposition(Value):
     """Alternating difference pairs, one from each of the first k
     entourages in order."""
@@ -464,10 +445,7 @@ def _decompose(g: AbelianWord, seq: EntourageSequence, bound: int,
     levels = [sorted(e.pairs()) for e in seq]
     if _cut(g, levels[:usable]) is not None:
         return None
-    found = search(levels, bound)
-    if found is None:
-        return None
-    step = 1
+    found, step = None, 1
     while low < bound:
         probe = min(low + step, bound) - 1
         hit = search(levels, probe)
@@ -475,7 +453,8 @@ def _decompose(g: AbelianWord, seq: EntourageSequence, bound: int,
             low, step = probe + 1, 2 * step
         else:
             bound, found, step = probe, hit, 1
-    return found
+    # every probe below the bound missed: only the bound itself is left
+    return search(levels, bound) if found is None else found
 
 
 def decompose_prefix(g: AbelianWord, seq: EntourageSequence,

@@ -188,10 +188,6 @@ class Word(Value):
     def reduced_length(self) -> int:
         return len(self.reduce())
 
-    def abelianize(self) -> "AbelianWord":
-        return AbelianWord.from_terms((l.gen, l.sign) for l in self.letters
-                                      if not l.is_neutral)
-
     def tokens(self) -> list[str]:
         return [l.token() for l in self.letters]
 

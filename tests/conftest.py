@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from graevext import Entourage, EntourageSequence, Letter, QPSpace, Word, load_space
+from graevext import (AbelianWord, DomainError, Entourage, EntourageSequence,
+                      FiniteSpace, Letter, QPSpace, Word, frink_metric,
+                      load_space, universal_base)
 
 DATA = Path(__file__).parent / "data"
 
@@ -33,6 +35,40 @@ def conjugate(space: QPSpace) -> QPSpace:
     """The transposed space: the reversed quasi-pseudometric
     d'(x, y) = d(y, x)."""
     return QPSpace(space.points, tuple(zip(*space.dist)))
+
+
+def scale(space: QPSpace, factor) -> QPSpace:
+    """Every distance times ``factor``, an ``int`` (not ``bool``) or a
+    ``Fraction``; a negative one leaves a negative entry, which
+    ``QPSpace`` refuses."""
+    if type(factor) not in (int, Fraction):
+        raise DomainError(
+            f"scale factor must be an int or a Fraction, got {factor!r}")
+    return QPSpace(space.points,
+                   tuple(tuple(x * factor for x in row) for row in space.dist))
+
+
+def abelianize(word: Word) -> AbelianWord:
+    """The image of a free word in the free abelian group."""
+    return AbelianWord.from_terms((l.gen, l.sign) for l in word
+                                  if not l.is_neutral)
+
+
+def entourage_metric(space: FiniteSpace, v: Entourage) -> QPSpace:
+    """Quasi-pseudometric bounded by 1 whose open unit ball refines ``v``.
+
+    Runs the chain construction on [full, v, base, base] for the universal
+    base relation, then rescales so the unit ball matches the level of
+    ``v`` in the chain and caps at 1.  Requires ``v`` to contain the
+    universal base relation.
+    """
+    if v.points != space.points:
+        raise DomainError("entourage and topology use different point lists")
+    base = universal_base(space)
+    if not base.subset_of(v):
+        raise DomainError("entourage must contain the universal base relation")
+    seq = EntourageSequence((Entourage.full(space.points), v, base, base))
+    return scale(frink_metric(seq), 4).cap_at_one()
 
 
 def min_plus_close(m) -> None:

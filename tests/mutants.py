@@ -48,6 +48,11 @@ MUTANTS = {
         f"{SRC}/qpspace.py", "                for k in range(n):\n",
         "                for k in range(n - 1):\n",
         (f"{QP}::test_validate_against_brute_force",)),
+    # the bound on the size of the integer view
+    "view-guard-dropped": (
+        f"{SRC}/qpspace.py", "if size * scale.bit_length() > VIEW_BITS:",
+        "if False:",
+        (f"{CLI}::test_space_past_the_view_bound_is_refused",)),
     # the wmember cut
     "cut-arcs-reversed": (
         f"{SRC}/quniform.py", "arcs = {(x, y): 0 for level",
@@ -58,6 +63,12 @@ MUTANTS = {
         f"{SRC}/quniform.py", '"k_max", 1, k_max,', '"k_max", 1, k_max - 1,',
         (f"{QU}::test_cut_against_brute_force",
          f"{QU}::test_decompose_prefix_examples")),
+    # the gallop searches at the bound only after every smaller probe
+    "bound-search-first": (
+        f"{SRC}/quniform.py", "    found, step = None, 1\n",
+        "    found, step = search(levels, bound), 1\n"
+        "    if found is None:\n        return None\n",
+        (f"{QU}::test_prefix_hit_at_a_small_k_skips_the_search_at_the_bound",)),
     # the min-cost flow and the abelian norm on it
     "flow-first-reachable-demand": (
         f"{SRC}/flow.py", "end = min(ends, key=dist.__getitem__)", "end = ends[0]",
@@ -93,10 +104,6 @@ MUTANTS = {
         "(den // price.denominator)",
         (f"{NORMS}::test_abelian_large_multiplicity",
          f"{PROPS}::test_balanced_norm_is_homogeneous")),
-    # the costs of a space with no integer view, the property's fine spaces
-    "abelian-fraction-costs-transposed": (
-        f"{SRC}/norms.py", "(1, space.dist)", "(1, tuple(zip(*space.dist)))",
-        (f"{PROPS}::test_abelian_norms_without_integer_view_against_oracle",)),
     # the free norm: delta and the interval DP
     "arc-cost-flipped": (
         f"{SRC}/schemes.py", "return (signed_extension(space, u.inverse(), v)\n"
@@ -111,6 +118,9 @@ MUTANTS = {
         "            + signed_extension(space, v.inverse(), u)) / 2) ** 2",
         (f"{PROPS}::test_free_triangle_law",
          f"{PROPS}::test_free_norm_against_search")),
+    "dp-scale-not-doubled": (
+        f"{SRC}/norms.py", "2 * space.integer_view[0]", "space.integer_view[0]",
+        (f"{NORMS}::test_dp_scale_clears_any_half_sum_of_two_rho",)),
     "dp-split-outside-dropped": (
         f"{SRC}/norms.py", "split = arcs[k] + inner[k] + cost[k + 1][j]",
         "split = arcs[k] + inner[k]",

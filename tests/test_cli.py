@@ -1,13 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from graevext import parse_rational
+from graevext import (CapExceeded, graev_norm, load_space, parse_rational,
+                      parse_word)
 from graevext.cli import COMMANDS, main
 
 DATA = Path(__file__).parent / "data"
@@ -210,6 +213,57 @@ def test_overlong_integer_is_format_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--space", SPACE)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "digits" in err
+
+
+def _too_large_space(path: Path) -> str:
+    """A 16-point space that would be valid and bounded by 1, but 24 of
+    its entries are (q - 1)/q over pairwise coprime q of about 4,000
+    digits (powers of the first 24 primes), so 16**2 entries over their
+    common denominator pass the integer view's 2**26 bits.  The others
+    are 1."""
+    primes = [p for p in range(2, 90) if all(p % q for q in range(2, p))]
+    dens = [p ** int(4000 / math.log10(p)) for p in primes]
+    n = 16
+    rows = [["0" if i == j else "1" for j in range(n)] for i in range(n)]
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for (i, j), q in zip(off, dens):
+        rows[i][j] = f"{q - 1}/{q}"
+    path.write_text(json.dumps({"points": [f"p{i}" for i in range(n)],
+                                "dist": rows}))
+    return str(path)
+
+
+def _refuse_in_library(call, space):
+    with pytest.raises(CapExceeded) as info:
+        call(load_space(space))
+    return 2, "", f"error: {info.value}\n"
+
+
+@pytest.mark.parametrize("call", ["validate", "graev_norm", "cli validate",
+                                  "cli norm"])
+def test_space_past_the_view_bound_is_refused(capsys, tmp_path, call):
+    """The refusal comes before any row of the integer view is built:
+    within 1 s and 2 MB, where the view alone would take 10 MB."""
+    space = _too_large_space(tmp_path / "space.json")
+    runs = {
+        "validate": lambda: _refuse_in_library(lambda sp: sp.validate(), space),
+        "graev_norm": lambda: _refuse_in_library(
+            lambda sp: graev_norm(sp, parse_word("p0", sp.points)), space),
+        "cli validate": lambda: run(capsys, "validate", "--space", space),
+        "cli norm": lambda: run(capsys, "norm", "--space", space,
+                                "--word", "p0"),
+    }
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = runs[call]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 2 * 2 ** 20
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: space too large: ")
 
 
 @pytest.mark.parametrize("source", ["eps", "space"])

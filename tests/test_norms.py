@@ -14,7 +14,7 @@ from graevext import (AbelianWord, CapExceeded, DomainError, Letter, QPSpace,
                       signed_extension)
 from graevext import norms
 from graevext.flow import min_cost_flow
-from .conftest import conjugate, random_qpspace, random_reduced_word
+from .conftest import conjugate, random_qpspace, random_reduced_word, scale
 from .oracles import (_constrained_witness, _EngineContext, _free_norm_search,
                       almost_irreducible, brute_abelian_norm, brute_assignment,
                       brute_free_norm, gamma_by_formula, scan_reduce)
@@ -95,6 +95,46 @@ def test_dp_matches_exhaustive_walk():
             assert scan_reduce(witness.word) == g
             assert gamma_by_formula(sp, witness.word.letters,
                                     witness.scheme.pairs) == value
+
+
+def _least_matching(cost, n: int) -> Fraction:
+    """Least ``cost`` of a non-crossing partial matching of 0..n-1, over
+    every partial matching: ``cost(i, k)`` for a pair and ``cost(i, None)``
+    for an unmatched position."""
+    def matchings(free):
+        if not free:
+            yield []
+            return
+        i, rest = free[0], free[1:]
+        for m in matchings(rest):
+            yield [(i, None)] + m
+        for k in rest:
+            for m in matchings([x for x in rest if x != k]):
+                yield [(i, k)] + m
+    return min(sum(cost(i, k) for i, k in m) for m in matchings(list(range(n)))
+               if not any(a < c < b < d for a, b in m for c, d in m
+                          if b is not None and d is not None))
+
+
+def test_dp_scale_clears_any_half_sum_of_two_rho(monkeypatch):
+    """The DP puts delta over twice the view's scale, which clears half a
+    sum of two rho whatever they are.  Here the second term is not the
+    other orientation (then both agree), so delta takes halves of the
+    view's unit."""
+    def lopsided(space, u, v):
+        return (signed_extension(space, u.inverse(), v)
+                + signed_extension(space, u, v)) / 2
+
+    monkeypatch.setattr(norms, "arc_cost", lopsided)
+    rng = random.Random(97)
+    for trial in range(12):
+        sp = random_qpspace(rng, rng.randint(2, 3), denom=rng.choice((1, 3, 16)))
+        letters = random_reduced_word(rng, sp.points, 6, min_len=1).letters
+        neutral = Letter.neutral()
+        assert norms._interval_dp(sp, letters)[0] == _least_matching(
+            lambda i, k: lopsided(sp, letters[i],
+                                  neutral if k is None else letters[k]),
+            len(letters))
 
 
 def test_long_word_needs_no_recursion():
@@ -203,7 +243,7 @@ def test_monotone_in_the_metric():
     rng = random.Random(59)
     for trial in range(10):
         sp = random_qpspace(rng, 2)
-        halved = sp.scale(F(1, 2))
+        halved = scale(sp, F(1, 2))
         g = random_reduced_word(rng, sp.points, 3)
         assert graev_norm(halved, g)[0] <= graev_norm(sp, g)[0]
 

@@ -2,9 +2,9 @@
 hypothesis draws: conjugation invariance and the triangle law of the free
 norm, delta as one orientation of the extension, the abelian norm against
 the free norm, the abelian triangle law, homogeneity of the balanced
-norm, and each norm against an exhaustive oracle, on spaces with and
-without an integer view; and the space loader against its
-one-parse-per-entry oracle on drawn space documents."""
+norm, and each norm against an exhaustive oracle, on spaces whose
+common denominator is small or past 2**64; and the space loader against
+its one-parse-per-entry oracle on drawn space documents."""
 
 import tracemalloc
 from fractions import Fraction
@@ -16,8 +16,9 @@ from graevext import (AbelianWord, DomainError, Letter, QPSpace, Word,
                       abelian_norm, abelian_norm_balanced, graev_norm,
                       signed_extension)
 from graevext.schemes import arc_cost
-from .conftest import min_plus_close
-from .oracles import _free_norm_search, brute_abelian_norm, slow_space
+from .conftest import abelianize, min_plus_close, scale
+from .oracles import (_free_norm_search, brute_abelian_norm, brute_free_norm,
+                      slow_space)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80,
                     deadline=None)
@@ -33,9 +34,8 @@ def spaces(draw, fine: bool | None = None) -> QPSpace:
     """A valid quasi-pseudometric bounded by 1 on 2 to 4 points: entries
     in twelfths, or, for a fine space (drawn when ``fine`` is None),
     twelfths k/12 with k in ``FINE`` times 1 - 2**-63.  Each such entry
-    has a denominator of at least 3 * 2**63, past ``SCALE_LIMIT``, and
-    the least one survives the closure, so a fine space has no integer
-    view."""
+    has a denominator of at least 3 * 2**63, and the least one survives
+    the closure, so a fine space has a common denominator past 2**64."""
     if fine is None:
         fine = draw(st.booleans())
     n = draw(st.integers(2, 4))
@@ -44,7 +44,7 @@ def spaces(draw, fine: bool | None = None) -> QPSpace:
           for j in range(n)] for i in range(n)]
     min_plus_close(m)
     space = QPSpace(tuple("abcd"[:n]), tuple(tuple(row) for row in m))
-    return space.scale(1 - Fraction(1, 2 ** 63)) if fine else space
+    return scale(space, 1 - Fraction(1, 2 ** 63)) if fine else space
 
 
 def letters(space: QPSpace, max_len: int):
@@ -77,7 +77,7 @@ def balanced(space: QPSpace, max_units: int):
 def test_abelian_norm_at_most_free_norm(data):
     space = data.draw(spaces())
     g = Word(tuple(data.draw(letters(space, 6))))
-    assert abelian_norm(space, g.abelianize())[0] <= graev_norm(space, g)[0]
+    assert abelian_norm(space, abelianize(g))[0] <= graev_norm(space, g)[0]
 
 
 @PROPERTY
@@ -99,13 +99,16 @@ def test_abelian_norm_against_oracle(data):
 
 @PROPERTY
 @given(st.data())
-def test_abelian_norms_without_integer_view_against_oracle(data):
-    """Past ``SCALE_LIMIT`` the flow runs on ``Fraction`` costs."""
+def test_norms_over_a_scale_past_2_64_against_oracles(data):
+    """The flow and the interval DP read their costs off an integer view
+    whose scale passes 2**64."""
     space = data.draw(spaces(fine=True))
-    assert space.integer_view is None
+    assert space.integer_view[0] > 2 ** 64
     h, b = data.draw(elements(space, 8)), data.draw(balanced(space, 4))
     assert abelian_norm(space, h)[0] == brute_abelian_norm(space, h)
     assert abelian_norm_balanced(space, b)[0] == brute_abelian_norm(space, b)
+    g = Word(tuple(data.draw(letters(space, 3))))
+    assert graev_norm(space, g)[0] == brute_free_norm(space, g)
 
 
 @PROPERTY

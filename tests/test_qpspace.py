@@ -8,9 +8,9 @@ import pytest
 from graevext import (DomainError, FormatError, Letter, QPSpace, load_space,
                       parse_rational, signed_extension)
 from graevext import qpspace
-from graevext.qpspace import SCALE_LIMIT, _triangles_hold
+from graevext.qpspace import _triangles_hold
 from graevext.schemes import arc_cost
-from .conftest import conjugate, min_plus_close, random_qpspace
+from .conftest import conjugate, min_plus_close, random_qpspace, scale
 from .oracles import brute_violations, rho_table
 
 F = Fraction
@@ -116,11 +116,12 @@ def test_validate_against_brute_force():
     assert min(seen.values()) >= 100, seen
 
 
-def test_validate_without_integer_view():
-    """Past ``SCALE_LIMIT`` no integer view is built and every row takes
-    the exact loop, with the same violations on valid and broken spaces."""
-    assert space("ab", [[0, F(1, 2 ** 64)], [1, 0]]).integer_view[0] == SCALE_LIMIT
-    assert space("ab", [[0, F(1, 2 ** 64)], [F(1, 3), 0]]).integer_view is None
+def test_validate_over_a_scale_past_2_64():
+    """A common denominator past 2**64 still gets its integer view, and
+    the screen gives the triple loop's violations on valid and broken
+    spaces."""
+    assert space("ab", [[0, F(1, 2 ** 64)], [F(1, 3), 0]]).integer_view == \
+        (3 * 2 ** 64, ((0, 3), (2 ** 64, 0)))
     primes = iter(p for p in range(2, 114) if all(p % q for q in range(2, p)))
     # the 30 off-diagonal entries of six points, one prime denominator
     # each, all in [1/2, 1): a valid space bounded by 1
@@ -131,11 +132,11 @@ def test_validate_without_integer_view():
             rows[i][j] = F(p - 1, p)
     assert next(primes, None) is None
     valid = space("abcdfg", rows)
-    assert valid.integer_view is None
+    assert valid.integer_view[0] > 2 ** 64
     assert valid.validate(True) == brute_violations(valid, True) == []
     rows[0][1], rows[3][2] = F(2), F(1, 113)
     broken = space("abcdfg", rows)
-    assert broken.integer_view is None
+    assert broken.integer_view[0] > 2 ** 64
     for require_bounded in (False, True):
         expected = brute_violations(broken, require_bounded)
         assert broken.validate(require_bounded) == expected
@@ -181,8 +182,8 @@ def test_unknown_point_and_negative_scale():
         sp.d("a", "c")
     assert str(info.value) == "unknown point 'c'"
     with pytest.raises(DomainError):
-        sp.scale(F(-1))
-    assert sp.scale(F(1, 2)).d("a", "b") == F(1, 2)
+        scale(sp, F(-1))
+    assert scale(sp, F(1, 2)).d("a", "b") == F(1, 2)
 
 
 @pytest.mark.parametrize("factor", [True, False, 0.5, 2.0, "2", None, [2]],
@@ -190,10 +191,10 @@ def test_unknown_point_and_negative_scale():
 def test_scale_takes_only_int_and_fraction(factor):
     sp = space("ab", [[0, 1], [F(1, 2), 0]])
     with pytest.raises(DomainError) as info:
-        sp.scale(factor)
+        scale(sp, factor)
     assert str(info.value) == \
         f"scale factor must be an int or a Fraction, got {factor!r}"
-    assert sp.scale(3).dist == sp.scale(F(3)).dist == \
+    assert scale(sp, 3).dist == scale(sp, F(3)).dist == \
         ((0, 3), (F(3, 2), 0))
 
 
@@ -245,7 +246,7 @@ def test_cap_preserves_validity_random():
     rng = random.Random(23)
     for _ in range(20):
         sp = random_qpspace(rng, rng.randint(2, 4))
-        doubled = sp.scale(F(3))
+        doubled = scale(sp, F(3))
         assert doubled.cap_at_one().validate(require_bounded=True) == []
 
 

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import random
+import signal
 import sys
 import time
 from fractions import Fraction
@@ -11,12 +12,11 @@ import pytest
 from graevext import (AbelianWord, DomainError, Entourage, EntourageSequence,
                       FiniteSpace, FormatError, abelian_norm,
                       composition_contained, decompose_prefix,
-                      decompose_subset, entourage_metric, enumerate_schemes,
-                      frink_metric,
+                      decompose_subset, enumerate_schemes, frink_metric,
                       load_entourage, load_topology, parse_abelian,
                       quniform, universal_base)
-from .conftest import (min_plus_close, random_entourage, random_qpspace,
-                       random_tripling_chain)
+from .conftest import (entourage_metric, min_plus_close, random_entourage,
+                       random_qpspace, random_tripling_chain)
 from .oracles import brute_decompose, compose_by_matrix
 
 F = Fraction
@@ -633,6 +633,33 @@ def test_cut_refuses_unreachable_miss_at_once(decompose):
     start = time.perf_counter()
     assert decompose(g, seq, 300) is None
     assert time.perf_counter() - start < 1
+
+
+def test_prefix_hit_at_a_small_k_skips_the_search_at_the_bound():
+    """80 nested levels on five points: -a - b + c + d is a sum at k = 2,
+    but the search at k = 80 alone runs for more than 10 s, so the gallop
+    must reach the hit before it.  A timer stops the call at 1 s."""
+    pts = ("a", "b", "c", "d", "f")
+    rng = random.Random(2)
+    level = rng.sample([(x, y) for x in pts for y in pts if x != y], 10)
+    levels = [level]
+    while len(levels) < 80:
+        level = [pair for pair in sorted(level) if rng.random() < 0.97]
+        levels.append(level)
+    seq = EntourageSequence(tuple(Entourage.from_pairs(pts, pairs)
+                                  for pairs in levels))
+
+    def late(*_):
+        raise TimeoutError("decompose_prefix ran past 1 s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        found = decompose_prefix(parse_abelian("-a - b + c + d", pts), seq, 80)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(found) == "k=2 pairs=[(a,d) (b,c)]"
 
 
 def test_cut_needs_a_flow_not_reachability():
